@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint arch-check concurrency-smoke test bench-smoke bench-kernels bench-shards trace-smoke backend-matrix comm-smoke parallel-smoke run-report-smoke shard-smoke socket-smoke
+.PHONY: lint arch-check concurrency-smoke test bench-smoke bench-kernels bench-shards trace-smoke backend-matrix comm-smoke run-report-smoke shard-smoke socket-smoke
 
 ## Static analysis: AST lint + lock discipline + lock graph + layering +
 ## sanitizer self-check.
@@ -42,13 +42,6 @@ backend-matrix:
 ## type round-tripped over a real OS pipe.
 comm-smoke:
 	$(PYTHON) -m repro.comm
-
-## Parallel serve-loop smoke: the per-shard executor lanes run under the
-## dynamic lock-order recorder + race instrumentation; any lock-order
-## inversion, lock cycle, or guarded-state access outside the owning
-## lock exits non-zero.
-parallel-smoke:
-	$(PYTHON) -m repro.comm parallel-smoke
 
 ## Run-telemetry pipeline smoke: a traced 2-worker *process* run writes a
 ## run dir (manifest + metrics + merged multi-process trace), the report

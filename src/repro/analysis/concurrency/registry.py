@@ -38,10 +38,6 @@ LOCK_CLASS_REGISTRY: "tuple[LockClassEntry, ...]" = (
     LockClassEntry("compression.stats", "CompressionStats", "_mu"),
     # tracer: narrow lock guarding the cross-thread buffer list
     LockClassEntry("obs.tracer", "Tracer", "_merge_lock"),
-    # parameter-server shard: inherits ``self._lock`` from ParameterServer
-    # without assigning it in its own __init__, so convention discovery
-    # (which only walks a class's own __init__) cannot see it
-    LockClassEntry("ps.sharded", "ParameterShard", "_lock"),
     # elastic-membership directory: its lock is deliberately not named
     # ``_lock`` (it guards only bookkeeping and must never nest with the
     # server lock — see repro/ps/membership.py's lock discipline note)
@@ -61,7 +57,7 @@ def guarded_attrs_of(cls: type) -> "tuple[str, ...] | None":
     """The class's declared guarded attributes, or ``None`` if undeclared.
 
     The declaration is inherited-attribute aware: a subclass of a declared
-    class (e.g. a test double over ``ParameterServer``) inherits the
+    class (e.g. a test double over ``ParameterShard``) inherits the
     declaration unless it overrides ``__guarded_attrs__`` itself.
     """
     attrs = getattr(cls, "__guarded_attrs__", None)

@@ -2,10 +2,10 @@
 
 The static checker (:mod:`repro.analysis.locks`) proves lexical lock
 discipline; this module verifies it *dynamically* under real thread
-interleavings.  :func:`instrument_server` swaps a live
-:class:`~repro.ps.server.ParameterServer`'s lock for a
-:class:`CheckedLock` (which remembers its owning thread) and wraps the
-server's mutable state in access-recording proxies.  Any attribute access
+interleavings.  :func:`instrument_server` swaps the lock of every shard of
+a live :class:`~repro.ps.server.ParameterServer` for a
+:class:`CheckedLock` (which remembers its owning thread) and wraps each
+shard's mutable state in access-recording proxies.  Any attribute access
 that happens (a) without the current thread holding the lock and (b) while
 more than one thread is alive is recorded as a :class:`RaceViolation` —
 accesses during single-threaded setup/teardown are exempt, because a race
@@ -29,15 +29,7 @@ __all__ = [
     "GuardedProxy",
     "instrument_object",
     "instrument_server",
-    "SERVER_GUARDED_ATTRS",
 ]
-
-#: Legacy alias for :attr:`repro.ps.server.ParameterServer.__guarded_attrs__`
-#: — the per-class declaration is the source of truth now (``stats`` is
-#: deliberately absent there: byte accounting moved into the channel layer,
-#: which records into a self-synchronising ``CompressionStats`` outside the
-#: server lock by design).
-SERVER_GUARDED_ATTRS = ("tracker", "staleness_meter", "worker_staleness")
 
 
 class CheckedLock:
@@ -79,7 +71,7 @@ class RaceViolation:
 
     thread: str
     attr: str
-    access: str  #: dotted access path, e.g. ``staleness_meter.update``
+    access: str  #: dotted access path, e.g. ``worker_staleness.setdefault``
 
     def format(self) -> str:
         return f"[{self.thread}] touched {self.access} without holding the lock"
@@ -206,12 +198,12 @@ def instrument_server(
     attrs: "Sequence[str] | None" = None,
     monitor: "RaceMonitor | None" = None,
 ) -> RaceMonitor:
-    """Instrument a live parameter server, in place.
+    """Instrument every shard of a live parameter server, in place.
 
-    Thin wrapper over :func:`instrument_object` kept for the existing race
-    harness; falls back to :data:`SERVER_GUARDED_ATTRS` when the server's
-    class carries no ``__guarded_attrs__`` declaration.
+    Each :class:`~repro.ps.server.ParameterShard` gets its own
+    :class:`CheckedLock`; all of them record into one monitor.
     """
-    if attrs is None and getattr(type(server), "__guarded_attrs__", None) is None:
-        attrs = [a for a in SERVER_GUARDED_ATTRS if hasattr(server, a)]
-    return instrument_object(server, attrs=attrs, monitor=monitor)
+    monitor = monitor if monitor is not None else RaceMonitor()
+    for shard in server.shards:
+        instrument_object(shard, attrs=attrs, monitor=monitor)
+    return monitor

@@ -14,10 +14,10 @@ compare against.
 PERF002 — no payload decode inside a lock-held region.  Decoding a frame
 or message (``decode_frame`` / ``decode_message``) is O(payload) numpy
 work; doing it under a server or channel lock stretches the hold time and
-serialises every other shard lane behind a pure-compute step.  The
-parallel serve loop's whole design is decode-*outside*-lock (lanes decode
-before dispatching under their shard lock); this rule keeps ``ps/`` and
-``comm/`` from regressing that.
+serialises every other request behind a pure-compute step.  The serve
+loop decodes each frame before dispatching it to the server, whose shard
+locks guard only the apply; this rule keeps ``ps/`` and ``comm/`` from
+regressing that.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class DecodeUnderLockRule(Rule):
                             call,
                             f"payload decode '{name}(...)' inside a "
                             "lock-held region; decode before acquiring "
-                            "the lock (the parallel serve lanes decode "
-                            "outside every lock — see docs/comm.md) and "
-                            "hand the decoded message in",
+                            "the lock (the serve loop decodes outside "
+                            "every lock — see docs/comm.md) and hand the "
+                            "decoded message in",
                         )

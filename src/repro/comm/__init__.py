@@ -5,8 +5,7 @@ speaking the typed frame vocabulary of :mod:`repro.comm.frames`:
 
 * **threaded** — :class:`InProcChannel` (synchronous dispatch; optional
   wire-fidelity mode round-trips bytes through the real codec);
-* **process** — :class:`PipeChannel` + :func:`serve_pipe_channels`
-  (real bytes over OS pipes);
+* **process** — :class:`PipeChannel` (real bytes over OS pipes);
 * **socket** — :class:`SocketChannel` + :class:`SocketListener` (real
   bytes over TCP, loopback-ephemeral by default for CI);
 * **simulated / sync** — :class:`SimChannel` / :class:`SimTransport`
@@ -17,10 +16,6 @@ The server side is one transport-agnostic loop —
 :class:`~repro.comm.service.ServerService` — with crash-to-partial-result
 semantics, telemetry absorption, elastic membership (join/leave control
 frames), and straggler eviction, identical under pipes and sockets.
-``serve_channels(..., shard_lanes=N)`` upgrades it to the parallel mode:
-per-shard executor lanes decode shard-addressed payloads outside every
-lock while the loop's own thread demuxes raw bytes by the frame header
-(see the "Parallel serve architecture" section of ``docs/comm.md``).
 
 The channel layer owns byte accounting and ``comm.send`` / ``comm.recv``
 obs spans, so ``TrainResult`` byte fields and traces mean the same thing
@@ -49,15 +44,13 @@ from .frames import (
     TelemetryFrame,
     decode_frame,
     encode_frame,
-    peek_kind,
-    peek_shard,
     reply_frame,
 )
-from .pipe import PipeChannel, serve_pipe_channels
+from .pipe import PipeChannel
 from .protocol import run_worker_loop
 from .service import ServeReport, ServerService, serve_channels
 from .sim import SimChannel, SimTransfer, SimTransport
-from .socket import ChannelTimeout, ShardListenerGroup, SocketChannel, SocketListener
+from .socket import ChannelTimeout, SocketChannel, SocketListener
 
 __all__ = [
     "channel",
@@ -85,8 +78,6 @@ __all__ = [
     "KIND_CONTROL",
     "encode_frame",
     "decode_frame",
-    "peek_kind",
-    "peek_shard",
     "reply_frame",
     "Channel",
     "ChannelClosed",
@@ -95,9 +86,7 @@ __all__ = [
     "InProcChannel",
     "PipeChannel",
     "ServeReport",
-    "serve_pipe_channels",
     "serve_channels",
-    "ShardListenerGroup",
     "SocketChannel",
     "SocketListener",
     "SimChannel",

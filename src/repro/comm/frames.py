@@ -14,10 +14,10 @@ DGS's contribution is what travels on the wire in *both* directions
   is a crash; the serving loop reports it instead of hanging.
 
 The byte representation wraps the payload codec (``repro.ps.codec``) in a
-four-byte frame header, replacing the ad-hoc ``b"G"``/``b"S"`` tag bytes
+two-byte frame header, replacing the ad-hoc ``b"G"``/``b"S"`` tag bytes
 the process backend used to hand-roll::
 
-    frame    := magic u8 | kind u8 | shard i16 | body
+    frame    := magic u8 | kind u8 | body
     kind 0   : loss f64 | codec message                    (gradient)
     kind 1/2 : staleness i32 | codec message               (diff / model)
     kind 3   : worker i32 | samples i64 | state_bytes i64 |
@@ -28,12 +28,9 @@ the process backend used to hand-roll::
 (`-1` in the close accounting fields means "not reported"; a zero-length
 error means "no error", so an empty error string normalises to ``None``.)
 
-``shard`` is the routing slot for a sharded server: ``-1`` addresses the
-whole server (the default — a sharded front-end fans the payload out
-itself), ``>= 0`` addresses one shard, and :func:`peek_shard` reads it
-from the fixed-size header so transports can route a frame to the right
-shard queue *without decoding the payload*.  Control frames (close /
-telemetry / membership) always carry ``-1``.
+Frames always address the whole server: a sharded
+:class:`~repro.ps.server.ParameterServer` splits the payload along its
+partition itself, so the wire carries no shard routing.
 
 :class:`ControlFrame` (kind 5) is the elastic-membership handshake: a
 worker *joins* before its first gradient (the server bootstraps its
@@ -88,33 +85,23 @@ __all__ = [
     "reply_frame",
     "encode_frame",
     "decode_frame",
-    "peek_shard",
-    "peek_kind",
 ]
 
 FRAME_MAGIC = 0xDF  # one-byte frame magic ("Dual-way Frame")
 
-_HEADER = struct.Struct("<BBh")  # magic, kind, shard (-1 = whole server)
+_HEADER = struct.Struct("<BB")  # magic, kind
 _LOSS = struct.Struct("<d")
 _STALENESS = struct.Struct("<i")  # diff/model: the codec header has no slot for it
 _CLOSE = struct.Struct("<iqq")  # worker_id, samples, state_bytes (-1 ⇒ not reported)
 _ERR_LEN = struct.Struct("<H")
 
-#: wire kind bytes — public so routing transports can demux a raw frame
-#: (:func:`peek_kind`) without decoding the payload
+#: wire kind bytes (the header's second byte)
 KIND_GRADIENT = 0
 KIND_DIFF = 1
 KIND_MODEL = 2
 KIND_CLOSE = 3
 KIND_TELEMETRY = 4
 KIND_CONTROL = 5
-
-_KIND_GRADIENT = KIND_GRADIENT
-_KIND_DIFF = KIND_DIFF
-_KIND_MODEL = KIND_MODEL
-_KIND_CLOSE = KIND_CLOSE
-_KIND_TELEMETRY = KIND_TELEMETRY
-_KIND_CONTROL = KIND_CONTROL
 
 _TELEMETRY = struct.Struct("<iI")  # worker_id, body length
 _CONTROL = struct.Struct("<iB")  # worker_id, op
@@ -131,8 +118,6 @@ class GradientFrame:
 
     message: GradientMessage
     loss: float
-    #: target shard for header-routed transports; -1 = whole server
-    shard: int = -1
 
     @property
     def worker_id(self) -> int:
@@ -151,8 +136,6 @@ class DiffFrame:
     """Downstream: the server's sparse model difference ``G_k``."""
 
     message: DiffMessage
-    #: originating shard for header-routed transports; -1 = whole server
-    shard: int = -1
 
     @property
     def worker_id(self) -> int:
@@ -170,8 +153,6 @@ class ModelFrame:
     """Downstream for vanilla ASGD / sync broadcast: the dense model."""
 
     message: ModelMessage
-    #: originating shard for header-routed transports; -1 = whole server
-    shard: int = -1
 
     @property
     def worker_id(self) -> int:
@@ -252,62 +233,27 @@ class ControlFrame:
 Frame = "GradientFrame | DiffFrame | ModelFrame | CloseFrame | TelemetryFrame | ControlFrame"
 
 
-def reply_frame(
-    msg: "DiffMessage | ModelMessage", shard: int = -1
-) -> "DiffFrame | ModelFrame":
+def reply_frame(msg: "DiffMessage | ModelMessage") -> "DiffFrame | ModelFrame":
     """Wrap a server reply message in its downstream frame type."""
     if isinstance(msg, DiffMessage):
-        return DiffFrame(msg, shard=shard)
+        return DiffFrame(msg)
     if isinstance(msg, ModelMessage):
-        return ModelFrame(msg, shard=shard)
+        return ModelFrame(msg)
     raise TypeError(f"not a downstream message: {type(msg).__name__}")
-
-
-def peek_shard(raw: "bytes | memoryview") -> int:
-    """Read the shard id off a frame header without decoding the payload.
-
-    The header is fixed-size, so a routing transport inspects the first
-    four bytes and forwards the (still-encoded) frame to the right shard
-    queue.  Returns ``-1`` for whole-server frames.
-    """
-    buf = memoryview(raw)
-    if len(buf) < _HEADER.size:
-        raise ValueError("truncated frame (no header)")
-    magic, _kind, shard = _HEADER.unpack_from(buf, 0)
-    if magic != FRAME_MAGIC:
-        raise ValueError("bad magic: not a repro.comm frame")
-    return shard
-
-
-def peek_kind(raw: "bytes | memoryview") -> int:
-    """Read the frame kind off the fixed header without decoding the payload.
-
-    Paired with :func:`peek_shard` by demuxing transports: a shard-addressed
-    ``KIND_GRADIENT`` frame can be queued to its shard lane still-encoded,
-    while control-plane kinds (close / control / telemetry) stay on the
-    demux thread.
-    """
-    buf = memoryview(raw)
-    if len(buf) < _HEADER.size:
-        raise ValueError("truncated frame (no header)")
-    magic, kind, _shard = _HEADER.unpack_from(buf, 0)
-    if magic != FRAME_MAGIC:
-        raise ValueError("bad magic: not a repro.comm frame")
-    return kind
 
 
 def encode_frame(frame: Frame) -> bytes:
     """Serialise any frame to its wire representation."""
     if isinstance(frame, GradientFrame):
         return (
-            _HEADER.pack(FRAME_MAGIC, _KIND_GRADIENT, frame.shard)
+            _HEADER.pack(FRAME_MAGIC, KIND_GRADIENT)
             + _LOSS.pack(frame.loss)
             + encode_message(frame.message)
         )
     if isinstance(frame, (DiffFrame, ModelFrame)):
-        kind = _KIND_DIFF if isinstance(frame, DiffFrame) else _KIND_MODEL
+        kind = KIND_DIFF if isinstance(frame, DiffFrame) else KIND_MODEL
         return (
-            _HEADER.pack(FRAME_MAGIC, kind, frame.shard)
+            _HEADER.pack(FRAME_MAGIC, kind)
             + _STALENESS.pack(frame.message.staleness)
             + encode_message(frame.message)
         )
@@ -317,12 +263,12 @@ def encode_frame(frame: Frame) -> bytes:
             ensure_ascii=False,
         ).encode("utf-8")
         return (
-            _HEADER.pack(FRAME_MAGIC, _KIND_TELEMETRY, -1)
+            _HEADER.pack(FRAME_MAGIC, KIND_TELEMETRY)
             + _TELEMETRY.pack(frame.worker_id, len(body))
             + body
         )
     if isinstance(frame, ControlFrame):
-        return _HEADER.pack(FRAME_MAGIC, _KIND_CONTROL, -1) + _CONTROL.pack(
+        return _HEADER.pack(FRAME_MAGIC, KIND_CONTROL) + _CONTROL.pack(
             frame.worker_id, _CONTROL_OPS.index(frame.op)
         )
     if isinstance(frame, CloseFrame):
@@ -330,7 +276,7 @@ def encode_frame(frame: Frame) -> bytes:
         samples = -1 if frame.samples_processed is None else frame.samples_processed
         state = -1 if frame.worker_state_bytes is None else frame.worker_state_bytes
         return (
-            _HEADER.pack(FRAME_MAGIC, _KIND_CLOSE, -1)
+            _HEADER.pack(FRAME_MAGIC, KIND_CLOSE)
             + _CLOSE.pack(frame.worker_id, samples, state)
             + _ERR_LEN.pack(len(err))
             + err
@@ -343,25 +289,25 @@ def decode_frame(raw: "bytes | memoryview") -> Frame:
     buf = memoryview(raw)
     if len(buf) < _HEADER.size:
         raise ValueError("truncated frame (no header)")
-    magic, kind, shard = _HEADER.unpack_from(buf, 0)
+    magic, kind = _HEADER.unpack_from(buf, 0)
     if magic != FRAME_MAGIC:
         raise ValueError("bad magic: not a repro.comm frame")
     off = _HEADER.size
-    if kind == _KIND_GRADIENT:
+    if kind == KIND_GRADIENT:
         (loss,) = _LOSS.unpack_from(buf, off)
         msg = decode_message(buf[off + _LOSS.size :])
         if not isinstance(msg, GradientMessage):
             raise ValueError("gradient frame wraps a non-gradient message")
-        return GradientFrame(msg, loss, shard=shard)
-    if kind in (_KIND_DIFF, _KIND_MODEL):
+        return GradientFrame(msg, loss)
+    if kind in (KIND_DIFF, KIND_MODEL):
         (staleness,) = _STALENESS.unpack_from(buf, off)
         msg = decode_message(buf[off + _STALENESS.size :])
-        expected = DiffMessage if kind == _KIND_DIFF else ModelMessage
+        expected = DiffMessage if kind == KIND_DIFF else ModelMessage
         if not isinstance(msg, expected):
             raise ValueError(f"frame kind {kind} wraps a {type(msg).__name__}")
         msg.staleness = staleness  # the codec header has no staleness slot
-        return reply_frame(msg, shard=shard)
-    if kind == _KIND_CLOSE:
+        return reply_frame(msg)
+    if kind == KIND_CLOSE:
         worker, samples, state = _CLOSE.unpack_from(buf, off)
         off += _CLOSE.size
         (err_len,) = _ERR_LEN.unpack_from(buf, off)
@@ -373,7 +319,7 @@ def decode_frame(raw: "bytes | memoryview") -> Frame:
             worker_state_bytes=state if state >= 0 else None,
             error=error,
         )
-    if kind == _KIND_TELEMETRY:
+    if kind == KIND_TELEMETRY:
         worker, body_len = _TELEMETRY.unpack_from(buf, off)
         off += _TELEMETRY.size
         if len(buf) < off + body_len:
@@ -384,7 +330,7 @@ def decode_frame(raw: "bytes | memoryview") -> Frame:
             spans=tuple(body.get("spans", [])),
             metrics=tuple(body.get("metrics", [])),
         )
-    if kind == _KIND_CONTROL:
+    if kind == KIND_CONTROL:
         worker, op = _CONTROL.unpack_from(buf, off)
         if op >= len(_CONTROL_OPS):
             raise ValueError(f"unknown control op byte {op}")

@@ -1,33 +1,24 @@
-"""Pipe channels: real bytes between OS processes, plus the serving loop.
+"""Pipe channels: real bytes between OS processes.
 
 :class:`PipeChannel` wraps one ``multiprocessing`` pipe endpoint; every
 frame is byte-serialised through :mod:`repro.comm.frames` (which performs
 the float32 wire conversion via the payload codec).  The same class serves
 both ends: the child process drives it through the worker protocol loop,
-the parent through :func:`serve_pipe_channels`.
-
-:func:`serve_pipe_channels` is the parameter-server side of the process
-backend.  The actual multiplexing loop is the transport-agnostic
-:func:`repro.comm.service.serve_channels` (pipes, in-proc channels, and
-sockets share it); this module keeps the pipe-flavoured entry point and
-the :class:`PipeChannel` transport.  A pipe that hits EOF/EPIPE *without*
-a close frame is a crashed worker: the loop records the loss of that
-worker and carries on, so a worker dying mid-run yields a graceful
+the parent through the transport-agnostic
+:func:`repro.comm.service.serve_channels`.  A pipe that hits EOF/EPIPE
+*without* a close frame is a crashed worker: the loop records the loss of
+that worker and carries on, so a worker dying mid-run yields a graceful
 partial result instead of a hang.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from ..compression.stats import CompressionStats
 from ..obs import names as obs_names
 from ..obs.tracer import current_tracer
 from .channel import ChannelClosed
 from .frames import Frame, decode_frame, encode_frame
-from .service import ServeReport, ServerService, serve_channels
 
-__all__ = ["PipeChannel", "ServeReport", "serve_pipe_channels"]
+__all__ = ["PipeChannel"]
 
 
 class PipeChannel:
@@ -59,12 +50,8 @@ class PipeChannel:
         self.wire_bytes_sent += len(raw)
 
     def send_raw(self, raw: bytes) -> None:
-        """Ship an already-encoded frame.
-
-        The parallel serve loop encodes replies on its shard-executor
-        lanes (outside any lock) and hands the bytes to one writer
-        thread; this entry point lets that thread skip re-encoding.
-        """
+        """Ship an already-encoded frame (callers that time the codec
+        separately from the transport encode first)."""
         if self._closed:
             raise ChannelClosed("pipe channel is closed")
         tracer = self._tracer()
@@ -76,8 +63,7 @@ class PipeChannel:
         self.wire_bytes_sent += len(raw)
 
     def recv_raw(self) -> bytes:
-        """One encoded frame off the pipe (the serve loop peeks the shard
-        id off these bytes before decoding)."""
+        """One still-encoded frame off the pipe."""
         if self._closed:
             raise ChannelClosed("pipe channel is closed")
         tracer = self._tracer()
@@ -102,23 +88,3 @@ class PipeChannel:
         if not self._closed:
             self._closed = True
             self.connection.close()
-
-
-def serve_pipe_channels(
-    channels: "list[PipeChannel]",
-    service: ServerService,
-    stats: "CompressionStats | None" = None,
-    on_loss: "Callable[[float], None] | None" = None,
-    **kwargs: object,
-) -> ServeReport:
-    """Run the server side of the process backend until all workers close.
-
-    A pipe-flavoured entry point over the transport-agnostic
-    :func:`~repro.comm.service.serve_channels` loop.  ``stats`` receives
-    the analytic payload byte accounting (upload on every gradient frame,
-    download on every reply); ``on_loss`` is called with each gradient
-    frame's training loss after the reply is shipped.  Extra keyword
-    arguments (``shard_lanes``, ``on_update``, …) pass straight through
-    to :func:`~repro.comm.service.serve_channels`.
-    """
-    return serve_channels(channels, service, stats=stats, on_loss=on_loss, **kwargs)

@@ -1,9 +1,7 @@
 """The transport-agnostic server side of every channel.
 
-Before this module the accept/route/reply loop lived twice: once inside
-:class:`InProcChannel` (synchronous dispatch) and once inside
-``serve_pipe_channels`` (pipe multiplexing).  Adding a third transport
-(TCP sockets) would have made it three.  This module owns it once:
+Every transport shares one accept/route/reply loop — in-process
+dispatch, pipes and TCP sockets alike.  This module owns it once:
 
 * :class:`ServerService` — apply one frame, build the reply.  Shared by
   every transport; also the home of the optional membership layer (join /
@@ -16,52 +14,17 @@ Before this module the accept/route/reply loop lived twice: once inside
   handles gradient dispatch, telemetry absorption, membership control
   frames, close accounting, crash detection (EOF without a close frame),
   straggler eviction, and elastic accept from a listener.
-
-Routing: byte transports expose ``recv_raw()`` and the loop reads the
-target shard off the fixed 4-byte header with
-:func:`~repro.comm.frames.peek_shard` *before* decoding the payload —
-the peeked id, not the decoded frame attribute, is the routing authority,
-exactly what the frame header exists for.
-
-**Parallel mode** (``shard_lanes=N``): the loop's own thread degrades to a
-pure demux — it never decodes a shard-addressed gradient payload.  Raw
-frame bytes are routed by the peeked header onto per-shard dispatch
-queues; N shard-executor lanes decode the payload *outside* any lock,
-dispatch through ``service`` (which takes only that shard's lock), encode
-the reply outside the lock too, and hand the bytes to a single
-reply-writer thread.  One writer serialises every ``send``, so a frame's
-bytes are never interleaved on a channel and no send ever happens under a
-lock (the lock graph stays exactly as serial mode leaves it).  The
-control plane — close, membership, telemetry, whole-server gradients, EOF
-crash detection, straggler eviction — stays on the demux thread with
-byte-identical serial semantics.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Callable
 
 from ..compression.stats import CompressionStats
-from ..obs import names as obs_names
-from ..obs.tracer import current_tracer
-from .frames import (
-    KIND_GRADIENT,
-    CloseFrame,
-    ControlFrame,
-    Frame,
-    GradientFrame,
-    TelemetryFrame,
-    decode_frame,
-    encode_frame,
-    peek_kind,
-    peek_shard,
-    reply_frame,
-)
+from .frames import CloseFrame, ControlFrame, GradientFrame, TelemetryFrame, reply_frame
 
 if TYPE_CHECKING:
     from ..ps.server import ParameterServer
@@ -73,8 +36,9 @@ class ServerService:
     """The server side of every channel: apply one frame, build the reply.
 
     One instance per run, shared by all of that run's channels; thread
-    safety is the :class:`~repro.ps.server.ParameterServer` lock's job, so
-    concurrent callers (the threaded backend) contend exactly as before.
+    safety is the job of the :class:`~repro.ps.server.ParameterServer`
+    shard locks, so concurrent callers (the threaded backend) contend on
+    them directly.
 
     ``membership`` is the optional elastic-worker directory (e.g.
     :class:`~repro.ps.membership.WorkerDirectory`): when present,
@@ -87,24 +51,15 @@ class ServerService:
         self.server = server
         self.membership = membership
 
-    def __call__(self, frame: GradientFrame, shard: "int | None" = None):
-        """Dispatch one gradient frame; ``shard`` overrides the frame's own
-        shard slot when a byte transport already peeked it off the header."""
-        shard = getattr(frame, "shard", -1) if shard is None else shard
-        if shard >= 0:
-            # Shard-addressed frame (routed off the header by the
-            # transport): dispatch straight to that shard and stamp the
-            # reply with the same shard id so the worker can reassemble.
-            return reply_frame(
-                self.server.handle_shard(shard, frame.message), shard=shard
-            )
+    def __call__(self, frame: GradientFrame):
+        """Dispatch one gradient frame; returns the reply frame."""
         return reply_frame(self.server.handle(frame.message))
 
     def control(self, frame: ControlFrame):
         """Apply one membership control frame.
 
-        ``join`` bootstraps the worker's ``v_k`` from ``M_t`` under the
-        (per-shard) server lock and returns the :class:`ModelFrame` reply
+        ``join`` bootstraps the worker's ``v_k`` from ``M_t`` under each
+        shard lock and returns the :class:`ModelFrame` reply
         carrying θ_t; ``leave`` deregisters and returns ``None`` (one-way).
         """
         if frame.op == "join":
@@ -119,10 +74,9 @@ class ServerService:
 
     def register_locks(self, registry) -> None:
         """Enroll every lock this service can acquire in a lock-order
-        :class:`~repro.analysis.concurrency.LockRegistry` (the single
-        server lock, or — via
-        :meth:`~repro.ps.sharded.ShardedParameterServer.register_lock` —
-        one entry per shard, plus the membership directory's lock)."""
+        :class:`~repro.analysis.concurrency.LockRegistry`: one entry per
+        server shard (:meth:`~repro.ps.server.ParameterServer.register_lock`)
+        plus the membership directory's lock."""
         self.server.register_lock(registry)
         if self.membership is not None and hasattr(self.membership, "register_lock"):
             self.membership.register_lock(registry)
@@ -149,166 +103,6 @@ class ServeReport:
     updates: int = 0
 
 
-def _recv_frame(channel) -> "tuple[Frame, int]":
-    """One frame off ``channel`` plus its routing shard.
-
-    Byte transports expose ``recv_raw()``: the shard id is peeked off the
-    fixed header *before* the payload is decoded (the header's whole
-    purpose); object transports fall back to ``recv()`` and the frame's
-    own shard slot.
-    """
-    recv_raw = getattr(channel, "recv_raw", None)
-    if recv_raw is not None:
-        raw = recv_raw()
-        return decode_frame(raw), peek_shard(raw)
-    frame = channel.recv()
-    return frame, getattr(frame, "shard", -1)
-
-
-class _ShardLanes:
-    """Per-shard execution lanes + one reply writer behind a demux loop.
-
-    The demux thread calls :meth:`submit` with *raw* frame bytes and the
-    peeked shard id; nothing here runs on the demux thread again until
-    :meth:`shutdown`.  Division of labour, chosen so no thread ever sends
-    while holding a lock and no payload is ever decoded under one:
-
-    * **lane thread** (one per shard) — ``decode_frame`` outside any
-      lock, dispatch through the service (only that shard's lock is taken
-      inside ``handle_shard``), record byte accounting, ``encode_frame``
-      the reply outside the lock, enqueue the bytes for the writer;
-    * **writer thread** (exactly one) — ``send`` / ``send_raw`` per
-      reply.  A single writer means per-channel frame bytes are never
-      interleaved without any send mutex existing, and it is the only
-      thread that bumps the update accounting for lane traffic;
-    * **demux thread** — retains the entire control plane (close frames,
-      membership, telemetry, EOF crash detection, eviction), so lifecycle
-      accounting has exactly one owner and a reply the writer fails to
-      deliver is simply dropped (the demux will see the EOF).
-
-    Lane threads acquire shard locks through the service, so a lock-order
-    registry attached to the server (``ServerService.register_locks``)
-    records their acquisition stacks like any other thread's.
-
-    Exceptions raised on a lane or the writer are stored and re-raised on
-    the demux thread (:meth:`check`), preserving the serial loop's
-    propagation semantics.
-    """
-
-    def __init__(
-        self,
-        num_lanes: int,
-        service,
-        stats: "CompressionStats | None",
-        worker_ids: "dict[object, int]",
-        account: "Callable[[float, int], None]",
-    ) -> None:
-        self.service = service
-        self.stats = stats
-        self.worker_ids = worker_ids
-        self.account = account
-        self.full_service = isinstance(service, ServerService)
-        self.num_lanes = max(1, int(num_lanes))
-        self._queues: "list[queue.SimpleQueue]" = [
-            queue.SimpleQueue() for _ in range(self.num_lanes)
-        ]
-        self._replies: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._error: "BaseException | None" = None
-        self._down = False
-        self._threads = [
-            threading.Thread(target=self._lane, args=(i,), name=f"shard-lane-{i}", daemon=True)
-            for i in range(self.num_lanes)
-        ]
-        for t in self._threads:
-            t.start()
-        self._writer = threading.Thread(
-            target=self._write_replies, name="shard-reply-writer", daemon=True
-        )
-        self._writer.start()
-
-    # -- demux-thread surface ------------------------------------------
-    def submit(self, channel, raw: bytes, shard: int) -> None:
-        """Queue one still-encoded shard-addressed frame onto its lane."""
-        self._queues[shard % self.num_lanes].put((channel, raw, shard))
-
-    def check(self) -> None:
-        """Re-raise the first lane/writer exception on the demux thread."""
-        if self._error is not None:
-            exc, self._error = self._error, None
-            raise exc
-
-    def shutdown(self) -> None:
-        """Drain every lane, then the writer (sentinel + join, idempotent)."""
-        if self._down:
-            return
-        self._down = True
-        for q in self._queues:
-            q.put(None)
-        for t in self._threads:
-            t.join()
-        self._replies.put(None)
-        self._writer.join()
-
-    # -- lane threads ---------------------------------------------------
-    def _lane(self, idx: int) -> None:
-        q = self._queues[idx]
-        while True:
-            item = q.get()
-            if item is None:
-                return
-            channel, raw, shard = item
-            try:
-                self._process(channel, raw, shard)
-            except BaseException as exc:
-                if self._error is None:
-                    self._error = exc
-
-    def _process(self, channel, raw: bytes, shard: int) -> None:
-        t_start = time.perf_counter()
-        frame = decode_frame(raw)  # payload decode: outside every lock
-        self.worker_ids[channel.waitable] = frame.worker_id
-        if self.stats is not None:
-            self.stats.record_upload(frame.nbytes(), frame.dense_nbytes())
-        # Only this shard's lock is taken inside; the reply comes back
-        # with every lock released.
-        reply = self.service(frame, shard=shard) if self.full_service else self.service(frame)
-        if self.stats is not None:
-            self.stats.record_download(reply.nbytes(), reply.dense_nbytes())
-        raw_reply = encode_frame(reply) if hasattr(channel, "send_raw") else None
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.add_span(
-                obs_names.SERVE_LANE,
-                t_start,
-                time.perf_counter(),
-                cat="server",
-                domain="wall",
-                args={"shard": shard, "worker": frame.worker_id},
-            )
-        self._replies.put((channel, reply, raw_reply, shard, frame.loss))
-
-    # -- writer thread --------------------------------------------------
-    def _write_replies(self) -> None:
-        from .channel import ChannelClosed  # runtime import: channel imports service
-
-        while True:
-            item = self._replies.get()
-            if item is None:
-                return
-            channel, reply, raw_reply, shard, loss = item
-            try:
-                if raw_reply is not None:
-                    channel.send_raw(raw_reply)
-                else:
-                    channel.send(reply)
-            except (ChannelClosed, BrokenPipeError, OSError):
-                # Crash detection (and its accounting) belongs to the
-                # demux thread, which will see the EOF on this channel;
-                # an undeliverable reply is dropped, never double-counted.
-                continue
-            self.account(loss, shard)
-
-
 def serve_channels(
     channels: "list",
     service: ServerService,
@@ -318,7 +112,6 @@ def serve_channels(
     listener: "object | None" = None,
     expected_closes: "int | None" = None,
     straggler_timeout_s: "float | None" = None,
-    shard_lanes: "int | None" = None,
 ) -> ServeReport:
     """Serve every channel until ``expected_closes`` workers terminate.
 
@@ -326,10 +119,10 @@ def serve_channels(
     (and, via the synchronous :class:`~repro.comm.channel.InProcChannel`
     dispatch, semantically under the threaded one too):
 
-    * **gradient** frames are routed by the shard id peeked off the raw
-      header, dispatched through ``service``, and answered on the same
-      channel; ``stats`` records the analytic byte accounting and
-      ``on_loss`` sees each frame's training loss after the reply ships.
+    * **gradient** frames are dispatched through ``service`` and answered
+      on the same channel; ``stats`` records the analytic byte accounting,
+      and ``on_loss`` / ``on_update`` see each frame's training loss and
+      the running update count after the reply ships.
     * **close** frames settle a worker's final accounting; a channel that
       dies *without* one (EOF / EPIPE) is a crash and becomes an error on
       the report — a graceful partial result, never a hang.
@@ -346,50 +139,17 @@ def serve_channels(
 
     ``expected_closes`` defaults to ``len(channels)``; pass the total
     worker count when a listener will deliver some of them later.
-
-    ``shard_lanes=N`` turns on parallel mode (module docstring): this
-    thread demuxes shard-addressed gradient frames — still encoded — onto
-    N per-shard lanes and keeps everything else.  Update accounting is
-    then counted on shard-0 sub-frames only, so ``report.updates`` (and
-    the ``on_loss`` / ``on_update`` cadence) means *worker steps* whether
-    a step arrives as one whole-server frame or as N shard sub-frames —
-    the same rule the serial loop applies to shard-addressed traffic.
     """
     report = ServeReport()
     # Duck-typed service: plain callables (tests, adapters) lack the
-    # membership/control surface and take no shard keyword.
+    # membership/control surface.
     membership = getattr(service, "membership", None)
-    full_service = isinstance(service, ServerService)
     open_channels = {ch.waitable: ch for ch in channels}
     worker_ids: "dict[object, int]" = {}  # waitable → last known worker id
     last_seen = {w: time.monotonic() for w in open_channels}
     expected = len(channels) if expected_closes is None else expected_closes
     terminated = 0
     poll = None if straggler_timeout_s is None else max(straggler_timeout_s / 4.0, 0.01)
-
-    # One update == one worker step.  A fanned-out step arrives as N
-    # shard sub-frames; its shard-0 sub-frame is the step's single
-    # accounting token (every step touches shard 0 exactly once).  The
-    # mutex makes the counter safe against the reply-writer thread in
-    # parallel mode; serial mode pays one uncontended acquire.
-    account_mu = threading.Lock()
-
-    def _account(loss: float, shard: int) -> None:
-        if shard > 0:
-            return
-        with account_mu:
-            report.updates += 1
-            count = report.updates
-        if on_loss is not None:
-            on_loss(loss)
-        if on_update is not None:
-            on_update(count)
-
-    lanes = (
-        _ShardLanes(shard_lanes, service, stats, worker_ids, _account)
-        if shard_lanes is not None
-        else None
-    )
 
     def _drop(waitable, channel) -> None:
         open_channels.pop(waitable, None)
@@ -399,55 +159,7 @@ def serve_channels(
         except OSError:
             pass
 
-    try:
-        terminated = _demux_loop(
-            report,
-            service,
-            stats,
-            _account,
-            listener,
-            straggler_timeout_s,
-            membership,
-            full_service,
-            open_channels,
-            worker_ids,
-            last_seen,
-            expected,
-            poll,
-            lanes,
-            _drop,
-        )
-    finally:
-        if lanes is not None:
-            lanes.shutdown()
-    if lanes is not None:
-        lanes.check()  # errors that surfaced while draining
-    return report
-
-
-def _demux_loop(
-    report: ServeReport,
-    service,
-    stats,
-    account: "Callable[[float, int], None]",
-    listener,
-    straggler_timeout_s,
-    membership,
-    full_service: bool,
-    open_channels: dict,
-    worker_ids: dict,
-    last_seen: dict,
-    expected: int,
-    poll: "float | None",
-    lanes: "_ShardLanes | None",
-    drop: "Callable[[object, object], None]",
-) -> int:
-    """The accept/route/reply multiplexing loop shared by both modes."""
-    terminated = 0
-    _drop = drop
     while terminated < expected:
-        if lanes is not None:
-            lanes.check()
         waitables = list(open_channels)
         if listener is not None:
             waitables.append(listener.waitable)
@@ -464,24 +176,7 @@ def _demux_loop(
             channel = open_channels[obj]
             last_seen[obj] = now
             try:
-                recv_raw = getattr(channel, "recv_raw", None)
-                if recv_raw is not None:
-                    raw = recv_raw()
-                    shard = peek_shard(raw)
-                    if (
-                        lanes is not None
-                        and shard >= 0
-                        and peek_kind(raw) == KIND_GRADIENT
-                    ):
-                        # Parallel fast path: route the still-encoded
-                        # frame to its shard lane; this thread never
-                        # touches the payload.
-                        lanes.submit(channel, raw, shard)
-                        continue
-                    frame = decode_frame(raw)
-                else:
-                    frame = channel.recv()
-                    shard = getattr(frame, "shard", -1)
+                frame = channel.recv()
             except (EOFError, OSError):
                 report.crashes += 1
                 who = worker_ids.get(obj)
@@ -534,7 +229,7 @@ def _demux_loop(
             worker_ids[obj] = frame.worker_id
             if stats is not None:
                 stats.record_upload(frame.nbytes(), frame.dense_nbytes())
-            reply = service(frame, shard=shard) if full_service else service(frame)
+            reply = service(frame)
             if stats is not None:
                 stats.record_download(reply.nbytes(), reply.dense_nbytes())
             try:
@@ -547,7 +242,11 @@ def _demux_loop(
                 _drop(obj, channel)
                 terminated += 1
                 continue
-            account(frame.loss, shard)
+            report.updates += 1
+            if on_loss is not None:
+                on_loss(frame.loss)
+            if on_update is not None:
+                on_update(report.updates)
         if straggler_timeout_s is not None:
             cutoff = time.monotonic() - straggler_timeout_s
             for obj in [w for w, seen in last_seen.items() if seen < cutoff]:
@@ -563,4 +262,4 @@ def _demux_loop(
                     membership.deregister(who, reason="evicted")
                 _drop(obj, channel)
                 terminated += 1
-    return terminated
+    return report

@@ -6,7 +6,7 @@
     record := length u32 (little-endian) | frame bytes
 
 The frame codec is untouched — a socket ships the same bytes a pipe does,
-so the float32 wire conversion, shard-routing header, and analytic byte
+so the float32 wire conversion, frame header, and analytic byte
 accounting mean the same thing on both transports.  Wire counters track
 frame bytes (the length prefix is transport framing, not payload — the
 same convention as ``PipeChannel``, whose pipe header is also uncounted).
@@ -45,7 +45,6 @@ from .frames import Frame, decode_frame, encode_frame
 
 __all__ = [
     "ChannelTimeout",
-    "ShardListenerGroup",
     "SocketChannel",
     "SocketListener",
     "DEFAULT_BACKOFF_BASE_S",
@@ -160,8 +159,7 @@ class SocketChannel:
     def send_raw(self, raw: bytes) -> None:
         """Ship an already-encoded frame (one length-prefixed sendall, so
         concurrent senders on *different* channels never interleave a
-        frame's bytes).  The parallel serve loop encodes replies on its
-        shard lanes and hands the bytes to one writer thread."""
+        frame's bytes)."""
         if self._closed:
             raise ChannelClosed("socket channel is closed")
         tracer = self._tracer()
@@ -173,8 +171,7 @@ class SocketChannel:
         self.wire_bytes_sent += len(raw)
 
     def recv_raw(self) -> bytes:
-        """One encoded frame off the stream (the serve loop peeks the shard
-        id off these bytes before decoding)."""
+        """One still-encoded frame off the stream."""
         if self._closed:
             raise ChannelClosed("socket channel is closed")
         tracer = self._tracer()
@@ -248,66 +245,3 @@ class SocketListener:
         if not self._closed:
             self._closed = True
             self._sock.close()
-
-
-class ShardListenerGroup:
-    """One :class:`SocketListener` per shard — parallel TCP ingress.
-
-    The shard-parallel socket backend stops funnelling every worker
-    through one accept/recv loop: shard ``s`` owns ``listeners[s]``, each
-    drained by its own serve loop, so N shards means N independent TCP
-    ingress paths.  ``port=0`` gives every shard its own ephemeral
-    loopback port (the CI default — read the picks off ``addresses``); an
-    explicit ``port`` binds shard ``s`` on ``port + s``, the deterministic
-    layout ``repro.ps worker --shard-parallel`` dials.
-
-    Shard 0's listener doubles as the control plane: workers run the
-    join/leave handshake and send their accounting close frame there
-    (matching the worker loop's ``shard_channels`` contract), so
-    membership lives on exactly one serve loop.
-    """
-
-    def __init__(
-        self,
-        num_shards: int,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        backlog: int = 64,
-        tracer: "object | None" = None,
-        read_timeout_s: "float | None" = None,
-    ) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self.listeners: "list[SocketListener]" = []
-        try:
-            for s in range(num_shards):
-                self.listeners.append(
-                    SocketListener(
-                        host,
-                        0 if port == 0 else port + s,
-                        backlog=backlog,
-                        tracer=tracer,
-                        read_timeout_s=read_timeout_s,
-                    )
-                )
-        except OSError:
-            self.close()
-            raise
-
-    @property
-    def addresses(self) -> "list[tuple[str, int]]":
-        """Per-shard bound (host, port), shard order."""
-        return [listener.address for listener in self.listeners]
-
-    def __len__(self) -> int:
-        return len(self.listeners)
-
-    def __iter__(self):
-        return iter(self.listeners)
-
-    def __getitem__(self, shard: int) -> SocketListener:
-        return self.listeners[shard]
-
-    def close(self) -> None:
-        for listener in self.listeners:
-            listener.close()

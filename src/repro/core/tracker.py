@@ -244,24 +244,37 @@ class ModelDifferenceTracker:
         """
         return [_flatten_buffers(self.M)] + [_flatten_buffers(vk) for vk in self.v]
 
-    def load_flat_state(self, buffers: "list[np.ndarray]") -> None:
-        """Restore :meth:`flat_state` output (``M`` first, then each v_k).
-
-        Grows the worker set if the checkpoint carries more v_k buffers
-        than this tracker currently has (a checkpoint taken after elastic
-        joins restores into a tracker built at the original size).
+    def check_flat_state(self, buffers: "list[np.ndarray]") -> None:
+        """Raise ``ValueError`` unless :meth:`load_flat_state` accepts
+        ``buffers``: a buffer count this tracker can hold and, for every
+        buffer, exactly the element count of :meth:`flat_state`'s.  Reads
+        state only, so a caller can validate every shard before writing any.
         """
         if not buffers:
             raise ValueError("flat state needs at least the M buffer")
         n_v = len(buffers) - 1
-        if self.track_differences and n_v > len(self.v):
-            self.bootstrap_worker(n_v - 1)  # grow v/prev to checkpoint size
-        elif not self.track_differences and n_v != 0:
+        if not self.track_differences and n_v != 0:
             raise ValueError("checkpoint has v_k buffers but tracking is off")
-        elif self.track_differences and n_v < len(self.v):
+        if self.track_differences and n_v < len(self.v):
             raise ValueError(
                 f"checkpoint has {n_v} v_k buffers, tracker has {len(self.v)} workers"
             )
+        size = sum(int(np.prod(shape, dtype=np.int64)) for shape in self.shapes.values())
+        for buf in buffers:
+            if buf.size != size:
+                raise ValueError(f"flat buffer has {buf.size} elements, layers hold {size}")
+
+    def load_flat_state(self, buffers: "list[np.ndarray]") -> None:
+        """Restore :meth:`flat_state` output (``M`` first, then each v_k).
+
+        Validated by :meth:`check_flat_state` before anything is written.
+        Grows the worker set if the checkpoint carries more v_k buffers
+        than this tracker currently has (a checkpoint taken after elastic
+        joins restores into a tracker built at the original size).
+        """
+        self.check_flat_state(buffers)
+        if self.track_differences and len(buffers) - 1 > len(self.v):
+            self.bootstrap_worker(len(buffers) - 2)  # grow v/prev to checkpoint size
         _load_flat(self.M, buffers[0])
         for vk, buf in zip(self.v, buffers[1:]):
             _load_flat(vk, buf)

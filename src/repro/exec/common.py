@@ -83,17 +83,15 @@ def build_server(
     arena_dtype: "object | None" = None,
     num_shards: int = 1,
 ) -> "ParameterServer":
-    """A parameter server configured for ``method``'s downstream mode.
-
-    ``num_shards=1`` builds the plain single-lock server — the sharded
-    front-end never sits between one lock and its callers — while
-    ``num_shards>1`` partitions the layers across independently locked
-    :class:`~repro.ps.sharded.ParameterShard` s behind a
-    :class:`~repro.ps.sharded.ShardedParameterServer`.
-    """
+    """A parameter server configured for ``method``'s downstream mode,
+    its layers partitioned across ``num_shards`` independently locked
+    shards (one by default)."""
     from ..ps.server import ParameterServer
 
-    kwargs = dict(
+    return ParameterServer(
+        theta0,
+        num_workers,
+        num_shards=num_shards,
         downstream=method.downstream,
         secondary_ratio=secondary_ratio_for(method, hyper, secondary_compression),
         secondary_min_sparse_size=hyper.min_sparse_size,
@@ -101,11 +99,6 @@ def build_server(
         arena=arena,
         arena_dtype=arena_dtype,
     )
-    if num_shards > 1:
-        from ..ps.sharded import ShardedParameterServer
-
-        return ShardedParameterServer(theta0, num_workers, num_shards, **kwargs)
-    return ParameterServer(theta0, num_workers, **kwargs)
 
 
 def build_worker(

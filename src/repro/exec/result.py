@@ -40,8 +40,9 @@ class TrainResult:
     #: backend registry name ("threaded", "process", "simulated", "sync")
     backend: str = ""
     num_workers: int = 0
-    #: parameter-server shards the run actually used (1 = single-lock
-    #: server; stays 1 on backends without a PS, e.g. the sync barrier)
+    #: parameter-server shards the run actually used (1 = one shard
+    #: behind one lock; stays 1 on backends without a PS, e.g. the sync
+    #: barrier)
     num_shards: int = 1
     final_accuracy: float = float("nan")
     final_loss: float = float("nan")

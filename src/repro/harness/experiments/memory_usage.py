@@ -49,7 +49,8 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)) -> ExperimentRe
             secondary_ratio=None,
         )
         strategy = spec.make_strategy(shapes, hyper)
-        server_units = server.tracker.server_state_bytes() / model_bytes
+        tracked = sum(shard.tracker.server_state_bytes() for shard in server.shards)
+        server_units = tracked / model_bytes
         worker_units = strategy.state_bytes() / model_bytes
         total_units = server_units + num_workers * worker_units
         report.add_row(

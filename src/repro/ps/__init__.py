@@ -11,8 +11,7 @@ from .codec import decode_message, encode_message
 from .membership import WorkerDirectory
 from .messages import DiffMessage, GradientMessage, ModelMessage, payload_dense_nbytes, payload_nbytes
 from .process import ProcessResult, ProcessTrainer
-from .server import ParameterServer
-from .sharded import ParameterShard, ShardedParameterServer
+from .server import ParameterServer, ParameterShard
 from .socket import SocketTrainer
 from .threaded import ThreadedResult, ThreadedTrainer
 from .worker import WorkerNode
@@ -29,7 +28,6 @@ __all__ = [
     "payload_dense_nbytes",
     "ParameterServer",
     "ParameterShard",
-    "ShardedParameterServer",
     "SocketTrainer",
     "WorkerDirectory",
     "WorkerNode",

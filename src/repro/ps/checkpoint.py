@@ -10,11 +10,12 @@ File format (little-endian)::
             ]}
     body    the buffers back-to-back, raw array bytes, in header order
 
-The body is exactly the concatenation of each shard's
+One header entry per server shard.  The body is exactly the
+concatenation of each shard's
 :meth:`~repro.core.tracker.ModelDifferenceTracker.flat_state` buffers —
 in arena mode these *are* the flat backing vectors, so a checkpoint is a
 handful of contiguous ``tobytes()``/``frombuffer`` calls, not a per-layer
-walk.  Snapshots are taken under the server/shard locks
+walk.  Snapshots are taken under the shard locks
 (:meth:`~repro.ps.server.ParameterServer.checkpoint_state` copies out);
 file I/O happens outside any lock.  Writes go through a same-directory
 temp file and ``os.replace`` so a crash mid-write never leaves a torn
@@ -41,20 +42,13 @@ _HEADER_LEN_BYTES = 4  # u32 little-endian (int.to_bytes, not struct:
 _FORMAT_VERSION = 1
 
 
-def _shard_states(server) -> "list[dict[str, object]]":
-    """Normalise plain and sharded servers to a list of shard snapshots."""
-    state = server.checkpoint_state()
-    return state["shards"] if "shards" in state else [state]
-
-
 def save_checkpoint(server, path: "str | os.PathLike") -> "dict[str, object]":
     """Write ``server``'s full state to ``path``; returns the header dict.
 
-    Works for both :class:`~repro.ps.server.ParameterServer` and
-    :class:`~repro.ps.sharded.ShardedParameterServer` (one header entry
-    per shard).  Atomic: the file appears complete or not at all.
+    One header entry per shard.  Atomic: the file appears complete or not
+    at all.
     """
-    shards = _shard_states(server)
+    shards = server.checkpoint_state()["shards"]
     header = {
         "version": _FORMAT_VERSION,
         "num_shards": len(shards),
@@ -87,8 +81,9 @@ def save_checkpoint(server, path: "str | os.PathLike") -> "dict[str, object]":
 def load_checkpoint(server, path: "str | os.PathLike") -> "dict[str, object]":
     """Restore ``path`` into ``server``; returns the checkpoint header.
 
-    The server must have been built over the same model (buffer element
-    counts are validated shard by shard before any state is touched).
+    The server must have been built over the same model with the same
+    shard count; both are validated before any state is touched, so a
+    rejected checkpoint leaves the server exactly as it was.
     The header's per-shard ``updates`` maps (worker id → handled updates)
     are what trainers fast-forward by; shard 0's map is authoritative
     (every shard sees every update).
@@ -122,14 +117,5 @@ def load_checkpoint(server, path: "str | os.PathLike") -> "dict[str, object]":
                     "buffers": buffers,
                 }
             )
-    num_shards = getattr(server, "num_shards", 1)
-    if num_shards != header["num_shards"]:
-        raise ValueError(
-            f"{path}: checkpoint has {header['num_shards']} shard(s), "
-            f"server has {num_shards}"
-        )
-    if hasattr(server, "shards"):
-        server.restore_state({"shards": states})
-    else:
-        server.restore_state(states[0])
+    server.restore_state({"shards": states})
     return header

@@ -9,7 +9,7 @@ same ``encode()``/``decode()`` path the paper's gloo transport performs.
 Workers end their stream with an explicit close frame carrying their final
 local accounting (and an error description if the worker loop raised); a
 pipe that dies *without* one is a crash, which the serving loop
-(:func:`repro.comm.pipe.serve_pipe_channels`) reports as a partial result
+(:func:`repro.comm.service.serve_channels`) reports as a partial result
 instead of hanging.  ``fail_at`` hard-kills chosen workers mid-run to
 exercise exactly that path.
 
@@ -39,7 +39,6 @@ from typing import Callable, Mapping
 
 from ..core.layerops import parameters_of
 from ..core.methods import Hyper, MethodSpec
-from ..core.partition import PartitionMap
 from ..data.loader import DataLoader
 from ..data.synthetic import Dataset
 from ..exec.common import (
@@ -83,7 +82,6 @@ def _worker_main(
     arena: bool = False,
     arena_dtype: "object | None" = None,
     trace: bool = False,
-    fanout_shards: int = 0,
 ) -> None:
     from ..comm.pipe import PipeChannel  # lazy: comm imports ps
     from ..comm.protocol import run_worker_loop
@@ -108,17 +106,6 @@ def _worker_main(
             # survive on the EOF it sees when the pipe drops.
             os._exit(_CRASH_EXIT_CODE)
 
-    fanout = None
-    if fanout_shards:
-        # Shard-parallel parent: split each step into shard-addressed
-        # sub-frames over this one pipe.  The map mirrors the server's
-        # (same shapes, same itemsize → same deterministic packing).
-        fanout = PartitionMap(
-            {k: v.shape for k, v in theta0.items()},
-            fanout_shards,
-            itemsize=next(iter(theta0.values())).itemsize,
-        )
-
     if trace:
         # The parent's tracer object is unreachable across the fork (its
         # buffers land in this process's copy), so the child records into
@@ -131,16 +118,9 @@ def _worker_main(
                 iterations,
                 on_iteration=crash_hook,
                 ship_telemetry=True,
-                shard_fanout=fanout,
             )
     else:
-        run_worker_loop(
-            node,
-            PipeChannel(conn),
-            iterations,
-            on_iteration=crash_hook,
-            shard_fanout=fanout,
-        )
+        run_worker_loop(node, PipeChannel(conn), iterations, on_iteration=crash_hook)
 
 
 class ProcessTrainer:
@@ -164,12 +144,7 @@ class ProcessTrainer:
         tracer: "object | None" = None,
         arena: bool = False,
         arena_dtype: "object | None" = None,
-        shard_parallel: bool = False,
     ) -> None:
-        if shard_parallel and num_shards < 2:
-            raise ValueError("shard_parallel requires num_shards >= 2")
-        #: per-shard executor lanes in the serve loop + worker-side fan-out
-        self.shard_parallel = shard_parallel
         self.method = resolve_method(method)
         #: explicit tracer; None ⇒ the ambient repro.obs tracer at run time
         self.tracer = tracer
@@ -201,8 +176,8 @@ class ProcessTrainer:
         )
 
     def run(self) -> TrainResult:
-        from ..comm.channel import ServerService  # lazy: comm imports ps
-        from ..comm.pipe import PipeChannel, serve_pipe_channels
+        from ..comm.pipe import PipeChannel  # lazy: comm imports ps
+        from ..comm.service import ServerService, serve_channels
 
         tracer = self.tracer if self.tracer is not None else current_tracer()
         trace = bool(getattr(tracer, "enabled", False))
@@ -231,7 +206,6 @@ class ProcessTrainer:
                     self.arena,
                     self.arena_dtype,
                     trace,
-                    self.server.num_shards if self.shard_parallel else 0,
                 ),
                 daemon=True,
             )
@@ -242,12 +216,11 @@ class ProcessTrainer:
 
         loss_curve = Curve("loss_vs_server_step")
         try:
-            report = serve_pipe_channels(
+            report = serve_channels(
                 channels,
                 ServerService(self.server),
                 stats=self.server.stats,
                 on_loss=lambda loss: loss_curve.add(len(loss_curve) + 1, loss),
-                shard_lanes=self.server.num_shards if self.shard_parallel else None,
             )
         finally:
             for proc in procs:
@@ -275,13 +248,13 @@ class ProcessTrainer:
             method=self.method.name,
             backend="process",
             num_workers=self.num_workers,
-            num_shards=getattr(self.server, "num_shards", 1),
+            num_shards=self.server.num_shards,
             final_accuracy=acc,
             final_loss=loss,
             loss_vs_step=loss_curve,
             total_iterations=self.server.timestamp,
             samples_processed=report.samples_processed,
-            mean_staleness=self.server.staleness_meter.avg,
+            mean_staleness=staleness["mean"],
             staleness_p50=staleness["p50"],
             staleness_p99=staleness["p99"],
             worker_staleness=staleness["per_worker"],

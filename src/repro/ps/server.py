@@ -7,8 +7,25 @@ two downstream modes:
   difference ``G_k`` (Algorithm 2), optionally secondary-compressed;
 * ``model`` — vanilla ASGD: reply with the full dense global model.
 
-Thread-safe: :meth:`handle` takes an internal lock, so the threaded trainer
-exercises genuine HOGWILD-style contention while state stays consistent.
+:class:`ParameterServer` partitions the model's layers across
+``num_shards`` :class:`ParameterShard` s (whole layers, greedy by byte
+size — :class:`~repro.core.partition.PartitionMap`).  Each shard is the
+paper's server over its layer subset — its own lock, tracker, sub-arena
+and per-worker ``v_k`` slices — so the Eq. 5 ASGD-equivalence invariant
+holds per shard and, because the layer sets are disjoint and exhaustive,
+composes bitwise into the global one.  ``num_shards=1`` (the default) is
+one shard holding every layer behind one lock.
+
+Thread-safe: each shard's :meth:`~ParameterShard.handle` takes that
+shard's lock, so the threaded trainer exercises genuine HOGWILD-style
+contention while state stays consistent.  The front-end owns **no** lock
+and takes shard locks strictly one at a time (never nested), so the
+LCK004 lock graph stays a set of isolated shard nodes.
+
+Accounting across shards (see docs/execution.md): per-worker staleness
+counts are ``updates × num_shards`` while means and percentiles are
+unchanged, and ``server_state_bytes`` sums the shards' disjoint slices
+back to the whole-model figure.
 """
 
 from __future__ import annotations
@@ -24,6 +41,7 @@ from ..compression.base import Sparsifier
 from ..compression.stats import CompressionStats
 from ..compression.topk import TopKSparsifier
 from ..core.layerops import scale_payload
+from ..core.partition import PartitionMap
 from ..core.tracker import ModelDifferenceTracker
 from ..metrics.meters import AverageMeter
 from ..obs import names as obs_names
@@ -33,6 +51,7 @@ from .messages import DiffMessage, GradientMessage, ModelMessage
 
 __all__ = [
     "ParameterServer",
+    "ParameterShard",
     "STALENESS_BUCKETS",
     "LOCK_SECONDS_BUCKETS",
     "summarize_staleness",
@@ -57,9 +76,9 @@ def summarize_staleness(
 ) -> "dict[str, object]":
     """Pure aggregation of raw per-worker staleness observations.
 
-    Kept outside the server class (and outside any lock) so callers that
-    fan in over N shards — N snapshot calls per report — pay for the
-    percentile math once, on merged data, with no lock held.
+    Kept outside the server classes (and outside any lock) so the fan-in
+    over N shards — N snapshot calls per report — pays for the percentile
+    math once, on merged data, with no lock held.
     """
     all_values = [s for values in per_worker_values.values() for s in values]
     per_worker = {
@@ -72,21 +91,20 @@ def summarize_staleness(
         for w, values in sorted(per_worker_values.items())
     }
     return {
+        "mean": float(np.mean(all_values)) if all_values else float("nan"),
         "p50": float(np.percentile(all_values, 50)) if all_values else float("nan"),
         "p99": float(np.percentile(all_values, 99)) if all_values else float("nan"),
         "per_worker": per_worker,
     }
 
 
-class ParameterServer:
-    """PS node: applies worker updates, answers with model state."""
+class ParameterShard:
+    """One partition of the server: M / v_k over a layer subset, one lock."""
 
     #: attributes ``self._lock`` protects — the single source of truth
     #: shared by the static checker and the dynamic race instrumentation
-    #: (:func:`repro.analysis.race.instrument_object`).  ``stats`` is
-    #: deliberately absent: byte accounting is recorded by the channel
-    #: layer into a self-synchronising ``CompressionStats``.
-    __guarded_attrs__ = ("tracker", "staleness_meter", "worker_staleness")
+    #: (:func:`repro.analysis.race.instrument_object`).
+    __guarded_attrs__ = ("tracker", "worker_staleness")
 
     def __init__(
         self,
@@ -99,6 +117,7 @@ class ParameterServer:
         arena: bool = False,
         arena_dtype: "np.dtype | type | str | None" = None,
         shard: int | None = None,
+        metrics: "MetricsRegistry | None" = None,
     ) -> None:
         if downstream not in ("difference", "model"):
             raise ValueError(f"downstream must be 'difference' or 'model', got {downstream!r}")
@@ -126,11 +145,6 @@ class ParameterServer:
             arena=arena,
             dtype=arena_dtype,
         )
-        #: byte-accounting sink — *recorded into by the comm channel layer*
-        #: (the server applies updates; what they cost on the wire is the
-        #: transport's knowledge), read back by every TrainResult.
-        self.stats = CompressionStats()
-        self.staleness_meter = AverageMeter("staleness")
         #: contention telemetry: how long handle() waited for the lock vs
         #: how long it held it — the HOGWILD bottleneck signal (seconds).
         self.lock_wait_meter = AverageMeter("lock_wait_s")
@@ -140,16 +154,15 @@ class ParameterServer:
         #: TrainResult; the registry's bucketed series are the streamable
         #: approximation for metrics.jsonl / health checks)
         self.worker_staleness: "dict[int, list[int]]" = {}
-        #: per-worker time-bucketed series (self-synchronising, like
-        #: ``stats``: observed *outside* the server lock)
-        self.metrics = MetricsRegistry()
+        #: per-worker time-bucketed series (self-synchronising: observed
+        #: *outside* the shard lock; the server shares one across shards)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: gap-aware mitigation (Barkai et al., the paper's [4]): scale an
         #: incoming update by 1/(staleness + 1) before applying it, damping
         #: the implicit momentum that asynchrony introduces.
         self.staleness_damping = staleness_damping
-        #: shard id when this server is one partition of a
-        #: :class:`~repro.ps.sharded.ShardedParameterServer` (labels the
-        #: telemetry series and trace lanes); ``None`` = unsharded.
+        #: shard id labelling the telemetry series, trace lanes and lock
+        #: name; ``None`` when this shard is the whole server.
         self.shard = shard
         #: server memory (M + all v_k + θ0), fixed at construction — every
         #: buffer is preallocated above, so this is cached once instead of
@@ -166,7 +179,6 @@ class ParameterServer:
         with self._lock:
             t_acquired = time.perf_counter()
             staleness = self.tracker.staleness(msg.worker_id)
-            self.staleness_meter.update(staleness)
             self.worker_staleness.setdefault(msg.worker_id, []).append(staleness)
             payload = msg.payload
             if self.staleness_damping and staleness > 0:
@@ -303,6 +315,12 @@ class ParameterServer:
                 "buffers": [buf.copy() for buf in self.tracker.flat_state()],
             }
 
+    def check_state(self, state: "Mapping[str, object]") -> None:
+        """Raise ``ValueError`` unless :meth:`restore_state` accepts
+        ``state``; touches nothing."""
+        with self._lock:
+            self.tracker.check_flat_state(state["buffers"])
+
     def restore_state(self, state: "Mapping[str, object]") -> None:
         """Restore a :meth:`checkpoint_state` snapshot under the lock."""
         with self._lock:
@@ -324,18 +342,6 @@ class ParameterServer:
         the copy — aggregation happens in :func:`summarize_staleness`)."""
         with self._lock:
             return {w: list(v) for w, v in self.worker_staleness.items()}
-
-    def staleness_summary(self) -> "dict[str, object]":
-        """Exact staleness percentiles from the raw observations.
-
-        Returns ``{"p50", "p99", "per_worker"}`` where ``per_worker`` maps
-        worker id → ``{"count", "mean", "p50", "p99"}``.  Percentiles are
-        ``nan`` when no updates were observed (the server never handled a
-        message) — the *measured but empty* case; backends that cannot
-        measure staleness at all report ``None`` fields on TrainResult
-        instead (see docs/execution.md).
-        """
-        return summarize_staleness(self.raw_staleness())
 
     def global_model(self) -> "OrderedDict[str, np.ndarray]":
         """Materialise θ_t = θ_0 + M_t for evaluation (thread-safe)."""
@@ -360,11 +366,198 @@ class ParameterServer:
 
     # ------------------------------------------------------------------
     def register_lock(self, registry, name: str = "ps") -> None:
-        """Enroll the server lock in a lock-order :class:`LockRegistry`.
+        """Enroll the shard lock in a lock-order :class:`LockRegistry`.
 
-        After this call every acquisition of the server lock is nesting-
+        Registered as ``name`` when this shard is the whole server, else
+        ``<name>.shard<i>``.  After this call every acquisition is nesting-
         timestamped, so a run under the registry reports order inversions
         against any other enrolled lock (shards, group leaders, channels).
         See :mod:`repro.analysis.concurrency.runtime`.
         """
-        registry.attach(self, name)
+        registry.attach(self, name if self.shard is None else f"{name}.shard{self.shard}")
+
+
+class ParameterServer:
+    """PS node: applies worker updates, answers with model state.
+
+    A lock-free front-end over :attr:`shards`: :meth:`handle` splits one
+    gradient message along :attr:`partition`, lets each shard apply its
+    part under its own lock, and merges the shard replies into one
+    downstream message in original layer order.
+    """
+
+    def __init__(
+        self,
+        theta0: "Mapping[str, np.ndarray]",
+        num_workers: int,
+        num_shards: int = 1,
+        downstream: str = "difference",
+        **kwargs: object,
+    ) -> None:
+        itemsize = next(iter(theta0.values())).itemsize
+        self.partition = PartitionMap(
+            {k: v.shape for k, v in theta0.items()}, num_shards, itemsize=itemsize
+        )
+        #: shards actually built — ``num_shards`` clamped to the layer count
+        self.num_shards = self.partition.num_shards
+        self.downstream = downstream
+        #: byte-accounting sink — *recorded into by the comm channel layer*
+        #: (the server applies updates; what they cost on the wire is the
+        #: transport's knowledge), read back by every TrainResult.
+        self.stats = CompressionStats()
+        #: one registry for every shard's series; shard-labelled when
+        #: ``num_shards > 1`` so per-shard series never collide
+        self.metrics = MetricsRegistry()
+        self.shards = [
+            ParameterShard(
+                OrderedDict((k, theta0[k]) for k in self.partition.layers(s)),
+                num_workers,
+                downstream=downstream,
+                shard=s if self.num_shards > 1 else None,
+                metrics=self.metrics,
+                **kwargs,
+            )
+            for s in range(self.num_shards)
+        ]
+
+    # ------------------------------------------------------------------
+    def handle(self, msg: GradientMessage) -> "DiffMessage | ModelMessage":
+        """Apply one upstream gradient message and build the reply.
+
+        Shard locks are taken strictly one at a time — never nested.  The
+        shards advance in lockstep per request but may interleave
+        differently across concurrent workers, so the reply carries the
+        most advanced shard timestamp and staleness ("state after my
+        update").
+        """
+        t_start = time.perf_counter()
+        parts = self.partition.split(msg.payload)
+        replies = [
+            shard.handle(GradientMessage(msg.worker_id, part, msg.local_iteration))
+            for shard, part in zip(self.shards, parts)
+        ]
+        payload = self.partition.merge([r.payload for r in replies])
+        reply_type = DiffMessage if self.downstream == "difference" else ModelMessage
+        reply = reply_type(
+            msg.worker_id,
+            payload,
+            max(r.server_timestamp for r in replies),
+            max(r.staleness for r in replies),
+        )
+        tracer = current_tracer()
+        if tracer.enabled:
+            # Emitted after every shard lock is released (same rule as the
+            # per-shard spans); covers split + N handles + merge.
+            tracer.add_span(
+                obs_names.SERVER_FANOUT,
+                t_start,
+                time.perf_counter(),
+                cat="server",
+                domain="wall",
+                args={"worker": msg.worker_id, "shards": self.num_shards},
+            )
+        return reply
+
+    # ------------------------------------------------------------------
+    def bootstrap_worker(self, worker_id: int) -> ModelMessage:
+        """Admit a (possibly new) worker on every shard; reply with θ_t.
+
+        The elastic-join handshake: each tracker records ``v_k ← M_t`` /
+        ``prev(k) ← t`` (so the joiner's first staleness reads zero and
+        Eq. 5 holds from its first exchange), and the reply carries the
+        full dense model the worker installs before training.
+        """
+        replies = [shard.bootstrap_worker(worker_id) for shard in self.shards]
+        payload = self.partition.merge([r.payload for r in replies])
+        return ModelMessage(worker_id, payload, max(r.server_timestamp for r in replies), 0)
+
+    def worker_model(self, worker_id: int) -> "Mapping[str, np.ndarray]":
+        """Materialise the model worker ``k`` holds (θ_0 + v_k) — what a
+        restored trainer installs on that worker's replica."""
+        return self.partition.merge(
+            [shard.worker_model(worker_id) for shard in self.shards]
+        )
+
+    def worker_update_counts(self) -> "dict[int, int]":
+        """Updates each worker has contributed (drives restore fast-forward).
+
+        Every shard sees every update, so shard counts agree; the max keeps
+        in-flight fan-outs monotone.
+        """
+        merged: "dict[int, int]" = {}
+        for shard in self.shards:
+            for worker, count in shard.worker_update_counts().items():
+                merged[worker] = max(merged.get(worker, 0), count)
+        return merged
+
+    # ------------------------------------------------------------------
+    def checkpoint_state(self) -> "dict[str, object]":
+        """``{"shards": [...]}`` — one :meth:`ParameterShard.checkpoint_state`
+        per shard, one lock hold each (sequential, never nested)."""
+        return {"shards": [shard.checkpoint_state() for shard in self.shards]}
+
+    def restore_state(self, state: "Mapping[str, object]") -> None:
+        """Restore a :meth:`checkpoint_state` snapshot.
+
+        Every shard validates its part first, so a rejected snapshot (wrong
+        shard count, wrong model) raises ``ValueError`` with no state
+        touched.
+        """
+        shard_states = state["shards"]
+        if len(shard_states) != self.num_shards:
+            raise ValueError(
+                f"checkpoint has {len(shard_states)} shard(s), server has {self.num_shards}"
+            )
+        for shard, shard_state in zip(self.shards, shard_states):
+            shard.check_state(shard_state)
+        for shard, shard_state in zip(self.shards, shard_states):
+            shard.restore_state(shard_state)
+
+    # ------------------------------------------------------------------
+    def raw_staleness(self) -> "dict[int, list[int]]":
+        """Per-worker staleness observations, concatenated across shards.
+
+        Each shard contributes one observation per update, so counts are
+        ``updates × num_shards`` while the location statistics are
+        unchanged.
+        """
+        merged: "dict[int, list[int]]" = {}
+        for shard in self.shards:
+            for worker, values in shard.raw_staleness().items():
+                merged.setdefault(worker, []).extend(values)
+        return merged
+
+    def staleness_summary(self) -> "dict[str, object]":
+        """Exact staleness statistics from the raw observations.
+
+        Returns ``{"mean", "p50", "p99", "per_worker"}`` where
+        ``per_worker`` maps worker id → ``{"count", "mean", "p50", "p99"}``.
+        The statistics are ``nan`` when no updates were observed (the
+        server never handled a message) — the *measured but empty* case;
+        backends that cannot measure staleness at all report ``None``
+        fields on TrainResult instead (see docs/execution.md).
+        """
+        return summarize_staleness(self.raw_staleness())
+
+    def global_model(self) -> "OrderedDict[str, np.ndarray]":
+        """Materialise θ_t = θ_0 + M_t for evaluation, original layer order."""
+        return self.partition.merge([shard.global_model() for shard in self.shards])
+
+    @property
+    def timestamp(self) -> int:
+        """Server timestamp — every shard applies every update, so shard
+        clocks agree once the system quiesces; the max keeps in-flight
+        reads monotone."""
+        return max(shard.timestamp for shard in self.shards)
+
+    def server_state_bytes(self) -> int:
+        """Server memory: M + all v_k (+ θ0 kept for evaluation), summed
+        over the shards' disjoint slices."""
+        return sum(shard.server_state_bytes() for shard in self.shards)
+
+    # ------------------------------------------------------------------
+    def register_lock(self, registry, name: str = "ps") -> None:
+        """Enroll every shard lock in a lock-order :class:`LockRegistry`
+        (``name`` for one shard, ``<name>.shard<i>`` for several)."""
+        for shard in self.shards:
+            shard.register_lock(registry, name)

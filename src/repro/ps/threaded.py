@@ -220,7 +220,7 @@ class ThreadedTrainer:
             method=self.method.name,
             backend="threaded",
             num_workers=self.num_workers,
-            num_shards=getattr(self.server, "num_shards", 1),
+            num_shards=self.server.num_shards,
             final_accuracy=acc,
             final_loss=loss,
             loss_vs_step=self.loss_curve,
@@ -228,7 +228,7 @@ class ThreadedTrainer:
             # Final accounting travels on the workers' close frames, the
             # same way it reaches the server on every other backend.
             samples_processed=sum(c.samples_processed or 0 for c in closes),
-            mean_staleness=self.server.staleness_meter.avg,
+            mean_staleness=staleness["mean"],
             staleness_p50=staleness["p50"],
             staleness_p99=staleness["p99"],
             worker_staleness=staleness["per_worker"],

@@ -267,7 +267,7 @@ class SimulatedTrainer:
             method=self.method.name,
             backend="simulated",
             num_workers=cluster.num_workers,
-            num_shards=getattr(self.server, "num_shards", 1),
+            num_shards=self.server.num_shards,
             final_accuracy=final_acc,
             final_loss=final_loss,
             loss_vs_step=loss_vs_step,
@@ -277,7 +277,7 @@ class SimulatedTrainer:
             clock="virtual",
             total_iterations=applied,
             samples_processed=sum(n.samples_processed for n in self.workers),
-            mean_staleness=self.server.staleness_meter.avg,
+            mean_staleness=staleness_summary["mean"],
             staleness_p50=staleness_summary["p50"],
             staleness_p99=staleness_summary["p99"],
             worker_staleness=staleness_summary["per_worker"],

@@ -1,9 +1,8 @@
 """Deliberately bad module for PERF002: payload decodes under a held lock.
 
 Never imported — parsed only.  Each flagged line pays O(payload) decode
-cost while holding a mutex, which is exactly the hold-time stretch the
-parallel serve lanes were built to avoid; the tests assert exact finding
-counts against this file.
+cost while holding a mutex, stretching the hold time every other request
+waits behind; the tests assert exact finding counts against this file.
 """
 
 import threading
@@ -34,7 +33,7 @@ class Server:
             msg = codec.decode_message(raw)  # PERF002
         return msg
 
-    def handle_shard(self, shard, raw, decode_frame):
+    def handle_part(self, shard, raw, decode_frame):
         with self._shard_locks[shard]:
             if raw:
                 return decode_frame(raw)  # PERF002 — nested block, still held

@@ -1,7 +1,7 @@
 """Fixture: cross-shard ABBA — the nesting mistake sharding invites.
 
 A sharded store is deadlock-free only while shard locks never nest: the
-real :class:`repro.ps.sharded.ShardedParameterServer` fans out strictly
+real :class:`repro.ps.server.ParameterServer` fans out strictly
 one shard at a time.  This fixture commits the tempting violation — a
 "consistency check" reading a sibling shard *while still holding* its
 own lock — in both directions: ``ShardAlpha.apply`` calls

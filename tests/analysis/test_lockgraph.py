@@ -122,11 +122,11 @@ def test_src_tree_has_no_cycles_or_blocking_calls():
 
 def test_src_tree_graph_enrolls_known_lock_owners():
     graph = build_lock_graph(SRC)
-    # the `_lock` convention finds the PS; the explicit registry adds the
-    # differently-named locks (CompressionStats._mu, Tracer._merge_lock)
-    assert "ps.server.ParameterServer" in graph.nodes
+    # the `_lock` convention finds the PS shard (the lock owner; the
+    # ParameterServer front-end holds no lock of its own); the explicit
+    # registry adds the differently-named locks (CompressionStats._mu,
+    # Tracer._merge_lock)
+    assert "ps.server.ParameterShard" in graph.nodes
+    assert "ps.server.ParameterServer" not in graph.nodes
     assert "compression.stats.CompressionStats" in graph.nodes
     assert "obs.tracer.Tracer" in graph.nodes
-    # ParameterShard inherits its lock from ParameterServer.__init__, so
-    # convention discovery can't see it — the registry entry must
-    assert "ps.sharded.ParameterShard" in graph.nodes

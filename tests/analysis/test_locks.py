@@ -86,7 +86,8 @@ class TestDiscovery:
     def test_parameter_server_is_enrolled(self):
         module = load_module(SRC / "ps" / "server.py", root=SRC)
         names = [cls.name for cls, _ in find_lock_classes(module.tree)]
-        assert "ParameterServer" in names
+        # the shard owns the lock; the ParameterServer front-end holds none
+        assert names == ["ParameterShard"]
 
     def test_narrow_locks_do_not_enroll(self):
         # ThreadedTrainer's _loss_lock guards one curve, not the object;

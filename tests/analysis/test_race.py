@@ -6,29 +6,29 @@ import importlib.util
 import threading
 from pathlib import Path
 
+from repro.analysis.concurrency import guarded_attrs_of
 from repro.analysis.race import (
-    SERVER_GUARDED_ATTRS,
     CheckedLock,
     GuardedProxy,
     RaceMonitor,
     instrument_server,
 )
 from repro.core import Hyper
-from repro.ps import ThreadedTrainer
+from repro.ps import ParameterShard, ThreadedTrainer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 HYPER = Hyper(lr=0.1, momentum=0.7, ratio=0.1, min_sparse_size=0)
 
 
-def load_racy_server_class():
+def load_racy_shard_class():
     spec = importlib.util.spec_from_file_location("racy_server", FIXTURES / "racy_server.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.RacyParameterServer
+    return mod.RacyParameterShard
 
 
-def make_trainer(dataset, model_factory, workers=4, iters=50):
+def make_trainer(dataset, model_factory, workers=4, iters=50, num_shards=1):
     return ThreadedTrainer(
         "dgs",
         model_factory,
@@ -38,6 +38,7 @@ def make_trainer(dataset, model_factory, workers=4, iters=50):
         iterations_per_worker=iters,
         hyper=HYPER,
         seed=0,
+        num_shards=num_shards,
     )
 
 
@@ -110,17 +111,28 @@ class TestInstrumentedTrainer:
         result = trainer.run()
         assert monitor.violations == [], monitor.report()
         assert result.server_timestamp == 4 * 25  # training itself still works
-        lock = trainer.server._lock
+        lock = trainer.server.shards[0]._lock
         assert isinstance(lock, CheckedLock) and lock.acquisitions > 0
+
+    def test_sharded_server_has_zero_unguarded_accesses(self, tiny_dataset, tiny_model_factory):
+        trainer = make_trainer(tiny_dataset, tiny_model_factory, workers=4, iters=25, num_shards=2)
+        monitor = instrument_server(trainer.server)
+        result = trainer.run()
+        assert trainer.server.num_shards == 2
+        assert monitor.violations == [], monitor.report()
+        assert result.server_timestamp == 4 * 25
+        for shard in trainer.server.shards:
+            assert isinstance(shard._lock, CheckedLock) and shard._lock.acquisitions > 0
 
     def test_racy_server_caught_within_200_steps(self, tiny_dataset, tiny_model_factory):
         trainer = make_trainer(tiny_dataset, tiny_model_factory, workers=4, iters=50)
-        trainer.server.__class__ = load_racy_server_class()
+        for shard in trainer.server.shards:
+            shard.__class__ = load_racy_shard_class()
         monitor = instrument_server(trainer.server)
         trainer.run()  # 4 × 50 = 200 server steps
         assert monitor.violations, "harness missed the deliberately racy server"
         touched = {v.attr for v in monitor.violations}
-        assert "staleness_meter" in touched
+        assert "worker_staleness" in touched
 
     def test_concurrent_metadata_readers_see_no_races(self, tiny_dataset, tiny_model_factory):
         # Regression: ParameterServer.timestamp / server_state_bytes used to
@@ -152,5 +164,6 @@ class TestInstrumentedTrainer:
 
 def test_default_guarded_attrs_exist_on_server(tiny_dataset, tiny_model_factory):
     trainer = make_trainer(tiny_dataset, tiny_model_factory, workers=1, iters=1)
-    for attr in SERVER_GUARDED_ATTRS:
-        assert hasattr(trainer.server, attr)
+    for shard in trainer.server.shards:
+        for attr in guarded_attrs_of(ParameterShard):
+            assert hasattr(shard, attr)

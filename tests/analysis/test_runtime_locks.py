@@ -133,10 +133,10 @@ class TestInstrumentObject:
     def make_server(self):
         import numpy as np
 
-        from repro.ps.server import ParameterServer
+        from repro.ps.server import ParameterShard
 
         theta0 = {"w": np.zeros(4, dtype=np.float32)}
-        return ParameterServer(theta0, num_workers=1)
+        return ParameterShard(theta0, num_workers=1)
 
     def test_guarded_attrs_declaration_is_used(self):
         server = self.make_server()
@@ -146,12 +146,12 @@ class TestInstrumentObject:
         t = threading.Thread(target=release.wait)
         t.start()
         try:
-            server.staleness_meter.update(1.0)
+            server.worker_staleness.setdefault(0, [])
         finally:
             release.set()
             t.join()
         assert monitor.violations
-        assert monitor.violations[0].attr == "staleness_meter"
+        assert monitor.violations[0].attr == "worker_staleness"
 
     def test_registry_integration_enrolls_the_swapped_lock(self):
         server = self.make_server()
@@ -166,10 +166,15 @@ class TestInstrumentObject:
             instrument_object(object())
 
     def test_instrument_server_wrapper_still_works(self):
-        server = self.make_server()
+        import numpy as np
+
+        from repro.ps.server import ParameterServer
+
+        server = ParameterServer({"w": np.zeros(4, dtype=np.float32)}, num_workers=1)
         monitor = instrument_server(server)
-        with server._lock:
-            server.staleness_meter.update(1.0)  # guarded: no violation
+        (shard,) = server.shards
+        with shard._lock:
+            shard.worker_staleness.setdefault(0, [])  # guarded: no violation
         assert monitor.violations == []
 
 
@@ -187,7 +192,7 @@ class TestRegistrationHooks:
         registry = LockRegistry()
         server.register_lock(registry)
         assert registry.names == ("ps",)
-        assert isinstance(server._lock, RegisteredLock)
+        assert isinstance(server.shards[0]._lock, RegisteredLock)
 
     def test_server_service_register_locks(self):
         from repro.comm.channel import ServerService
@@ -203,12 +208,12 @@ class TestGuardedAttrsConsistency:
         # the satellite contract: __guarded_attrs__ and what the static
         # checker infers as lock-guarded state must agree
         from repro.analysis.locks import _ClassAnalysis
-        from repro.ps.server import ParameterServer
+        from repro.ps.server import ParameterShard
 
-        declared = set(guarded_attrs_of(ParameterServer))
+        declared = set(guarded_attrs_of(ParameterShard))
         module = load_module(SRC / "ps" / "server.py", root=SRC)
         ((cls, lock_attr),) = [
-            (c, a) for c, a in find_lock_classes(module.tree) if c.name == "ParameterServer"
+            (c, a) for c, a in find_lock_classes(module.tree) if c.name == "ParameterShard"
         ]
         inferred = _ClassAnalysis(cls, lock_attr).guarded
         assert declared <= inferred, (
@@ -217,18 +222,12 @@ class TestGuardedAttrsConsistency:
         )
 
     def test_declaration_is_inherited_by_test_doubles(self):
-        from repro.ps.server import ParameterServer
+        from repro.ps.server import ParameterShard
 
-        class Double(ParameterServer):
+        class Double(ParameterShard):
             pass
 
-        assert guarded_attrs_of(Double) == ("tracker", "staleness_meter", "worker_staleness")
+        assert guarded_attrs_of(Double) == ("tracker", "worker_staleness")
 
     def test_undeclared_classes_return_none(self):
         assert guarded_attrs_of(object) is None
-
-    def test_legacy_alias_matches_declaration(self):
-        from repro.analysis.race import SERVER_GUARDED_ATTRS
-        from repro.ps.server import ParameterServer
-
-        assert tuple(SERVER_GUARDED_ATTRS) == guarded_attrs_of(ParameterServer)

@@ -13,7 +13,6 @@ from repro.comm import (
     ModelFrame,
     decode_frame,
     encode_frame,
-    peek_shard,
     reply_frame,
 )
 from repro.compression import SparseTensor
@@ -110,47 +109,8 @@ class TestWireErrors:
         # a gradient frame must wrap a GradientMessage: splice a diff body in
         grad = encode_frame(GradientFrame(GradientMessage(0, {"w": _sparse()}, 0), 0.0))
         diff = encode_frame(DiffFrame(DiffMessage(0, {"w": _sparse()}, 0, 0)))
-        # header (4) + loss (8) from the gradient, codec body after the
-        # diff's header (4) + staleness (4)
-        spliced = grad[:12] + diff[8:]
+        # header (2) + loss (8) from the gradient, codec body after the
+        # diff's header (2) + staleness (4)
+        spliced = grad[:10] + diff[6:]
         with pytest.raises(ValueError):
             decode_frame(spliced)
-
-
-class TestShardRouting:
-    def test_default_shard_is_whole_server(self):
-        frame = GradientFrame(GradientMessage(0, {"w": _sparse()}, 0), 0.0)
-        assert frame.shard == -1
-        assert peek_shard(encode_frame(frame)) == -1
-
-    @pytest.mark.parametrize("shard", [0, 3, 1000])
-    def test_shard_roundtrips_on_payload_frames(self, shard):
-        grad = GradientFrame(GradientMessage(1, {"w": _sparse()}, 2), 0.5, shard=shard)
-        out = decode_frame(encode_frame(grad))
-        assert out.shard == shard
-        diff = DiffFrame(DiffMessage(1, {"w": _sparse()}, 4, 1), shard=shard)
-        assert decode_frame(encode_frame(diff)).shard == shard
-        model = ModelFrame(
-            ModelMessage(1, {"w": np.zeros(4)}, 4, 1), shard=shard
-        )
-        assert decode_frame(encode_frame(model)).shard == shard
-
-    def test_peek_shard_reads_header_without_decoding(self):
-        raw = encode_frame(
-            GradientFrame(GradientMessage(0, {"w": _sparse()}, 0), 0.0, shard=7)
-        )
-        # the fixed-size header is enough: the payload may be truncated
-        assert peek_shard(raw[:4]) == 7
-        with pytest.raises(ValueError, match="truncated"):
-            peek_shard(raw[:3])
-        bad = bytearray(raw)
-        bad[0] ^= 0xFF
-        with pytest.raises(ValueError, match="magic"):
-            peek_shard(bytes(bad))
-
-    def test_control_frames_are_never_shard_addressed(self):
-        assert peek_shard(encode_frame(CloseFrame(worker_id=2))) == -1
-
-    def test_reply_frame_stamps_shard(self):
-        reply = reply_frame(DiffMessage(0, {}, 0, 0), shard=5)
-        assert reply.shard == 5

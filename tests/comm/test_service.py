@@ -32,7 +32,7 @@ from repro.ps.membership import WorkerDirectory
 from repro.ps.messages import GradientMessage
 
 
-def _make_service(num_workers: int = 2, with_membership: bool = True):
+def _make_service(num_workers: int = 2, with_membership: bool = True, num_shards: int = 1):
     from repro.core.layerops import parameters_of
 
     model = MLP(6, (8,), 3, seed=2)
@@ -41,6 +41,7 @@ def _make_service(num_workers: int = 2, with_membership: bool = True):
         parameters_of(model),
         num_workers,
         Hyper(lr=0.1, momentum=0.0),
+        num_shards=num_shards,
     )
     membership = WorkerDirectory(server) if with_membership else None
     return ServerService(server, membership=membership), server, membership
@@ -229,6 +230,83 @@ class TestElasticServe:
             listener.close()
             t.join(timeout=10)
         assert report.joins == 1
+
+
+class TestConcurrentIngress:
+    """Five socket workers against a 4-shard server (MLP(6, (8,), 3) has
+    exactly 4 tensors) with the whole control plane interleaved: joins, a
+    mid-run join against a moved M_t, a crash during the burst, telemetry,
+    leaves and closes."""
+
+    ROUNDS = 6
+    BASE_WORKERS = 4  # workers 0..3 join up front; worker 4 joins mid-run
+
+    def test_membership_audit_trail(self):
+        service, server, membership = _make_service(num_workers=5, num_shards=4)
+        assert server.num_shards == 4
+        listener = SocketListener()
+        host, port = listener.address
+        failures: "list[BaseException]" = []
+
+        def driver():
+            channels: "dict[int, SocketChannel]" = {}
+
+            def join(worker_id: int):
+                ch = SocketChannel.connect(host, port)
+                ch.send(ControlFrame(worker_id, CONTROL_JOIN))
+                assert isinstance(ch.recv(), ModelFrame)
+                channels[worker_id] = ch
+
+            for w in range(self.BASE_WORKERS):
+                join(w)
+            for r in range(self.ROUNDS):
+                if r == 2:
+                    join(4)
+                for w in sorted(channels):
+                    if w == 2 and r == 4:
+                        # crash at a step boundary: no leave, no close frame
+                        channels.pop(w).close()
+                        continue
+                    channels[w].send(_grad_for(server, w, scale=0.01 * (w + 1)))
+                    assert channels[w].recv() is not None
+            channels[0].send(
+                TelemetryFrame(
+                    worker_id=0,
+                    spans=({"type": "span", "name": "worker.step", "ts": 0.0, "dur": 1.0},),
+                )
+            )
+            for w in sorted(channels):
+                ch = channels[w]
+                ch.send(ControlFrame(w, CONTROL_LEAVE))
+                ch.send(CloseFrame(worker_id=w, samples_processed=10))
+                ch.close()
+
+        def wrapped():
+            try:
+                driver()
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                failures.append(exc)
+
+        t = threading.Thread(target=wrapped)
+        t.start()
+        try:
+            report = _serve(service, server, listener, 5)
+        finally:
+            t.join(timeout=30)
+            listener.close()
+        assert not t.is_alive(), "driver thread wedged"
+        if failures:
+            raise failures[0]
+        assert membership.members == {0: "left", 1: "left", 2: "crash", 3: "left", 4: "left"}
+        snap = membership.snapshot()
+        assert (snap["joins"], snap["leaves"], snap["crashes"], snap["evictions"]) == (5, 4, 1, 0)
+        assert (report.joins, report.leaves) == (5, 4)
+        assert report.clean_closes == 4 and report.crashes == 1
+        assert any("without a close frame" in e for e in report.errors)
+        assert 0 in report.telemetry
+        assert report.samples_processed == 4 * 10
+        # workers 0,1,3: 6 rounds; worker 2: rounds 0-3; worker 4: rounds 2-5
+        assert report.updates == server.timestamp == 3 * 6 + 4 + 4
 
 
 class TestWorkerDirectory:

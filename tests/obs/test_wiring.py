@@ -105,7 +105,7 @@ class TestThreadedWiring:
 
     def test_lock_meters_populated(self, threaded_run):
         tracer, trainer, _ = threaded_run
-        server = trainer.server
+        (server,) = trainer.server.shards
         assert server.lock_wait_meter.count == 8
         assert server.lock_hold_meter.count == 8
         assert server.lock_hold_meter.avg > 0

@@ -4,8 +4,7 @@ The frame codec itself is property-tested in ``test_prop_frames``; this
 module pins the *transport*: a loopback :class:`SocketChannel` pair must
 deliver any frame the codec can produce byte-identically — including the
 length-prefix reassembly of large frames that arrive in multiple TCP
-segments, and the shard id that ``peek_shard`` reads off the raw bytes
-before decode.
+segments.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from repro.comm import (
     GradientFrame,
     ModelFrame,
     TelemetryFrame,
+    decode_frame,
 )
-from repro.comm.frames import peek_shard
 from repro.comm.socket import SocketChannel, SocketListener
 from repro.compression import SparseTensor
 from repro.ps.messages import DiffMessage, GradientMessage, ModelMessage
@@ -45,13 +44,9 @@ class _LoopbackPair:
         self.server = self.listener.accept()
 
     def roundtrip(self, frame):
-        """Send client → server; return (decoded frame, raw shard id)."""
+        """Send client → server; return the frame decoded from the raw bytes."""
         self.client.send(frame)
-        raw = self.server.recv_raw()
-        shard = peek_shard(raw)
-        from repro.comm.frames import decode_frame
-
-        return decode_frame(raw), shard
+        return decode_frame(self.server.recv_raw())
 
     def close(self) -> None:
         self.client.close()
@@ -113,11 +108,10 @@ def _received_dense(model):
 @given(model=dense_models(), worker=st.integers(0, 1000), loss=f32_exact, it=st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_gradient_frame_over_tcp(pair, model, worker, loss, it):
-    out, shard = pair.roundtrip(
+    out = pair.roundtrip(
         GradientFrame(GradientMessage(worker, model, it), loss=float(loss))
     )
     assert isinstance(out, GradientFrame)
-    assert shard == -1  # unrouted: shard ids are stamped by the sharded path
     assert out.worker_id == worker
     assert out.loss == float(loss)
     assert out.message.local_iteration == it
@@ -130,7 +124,7 @@ def test_gradient_frame_over_tcp(pair, model, worker, loss, it):
 @given(model=sparse_models(), ts=st.integers(0, 10**6), staleness=st.integers(0, 10**4))
 @settings(max_examples=25, deadline=None)
 def test_diff_frame_over_tcp(pair, model, ts, staleness):
-    out, _ = pair.roundtrip(DiffFrame(DiffMessage(3, model, ts, staleness)))
+    out = pair.roundtrip(DiffFrame(DiffMessage(3, model, ts, staleness)))
     assert isinstance(out, DiffFrame)
     assert out.message.server_timestamp == ts
     assert out.message.staleness == staleness
@@ -142,7 +136,7 @@ def test_diff_frame_over_tcp(pair, model, ts, staleness):
 @given(model=dense_models(), ts=st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_model_frame_over_tcp(pair, model, ts):
-    out, _ = pair.roundtrip(ModelFrame(ModelMessage(1, model, ts, 0)))
+    out = pair.roundtrip(ModelFrame(ModelMessage(1, model, ts, 0)))
     assert isinstance(out, ModelFrame)
     assert out.message.server_timestamp == ts
     got, want = _received_dense(out.message.payload), _as_f32(model)
@@ -161,9 +155,8 @@ def test_close_frame_over_tcp(pair, worker, samples, state, error):
     frame = CloseFrame(
         worker_id=worker, samples_processed=samples, worker_state_bytes=state, error=error
     )
-    out, shard = pair.roundtrip(frame)
+    out = pair.roundtrip(frame)
     assert out == frame
-    assert shard == -1  # control plane never shard-routes
 
 
 _json_scalars = st.none() | st.booleans() | st.integers(-(2**53), 2**53) | st.text(max_size=20)
@@ -181,19 +174,17 @@ _span_records = st.fixed_dictionaries(
 @given(worker=st.integers(0, 2**31 - 1), spans=st.lists(_span_records, max_size=6))
 @settings(max_examples=25, deadline=None)
 def test_telemetry_frame_over_tcp(pair, worker, spans):
-    out, shard = pair.roundtrip(TelemetryFrame(worker_id=worker, spans=tuple(spans)))
+    out = pair.roundtrip(TelemetryFrame(worker_id=worker, spans=tuple(spans)))
     assert isinstance(out, TelemetryFrame)
     assert out.worker_id == worker
     assert list(out.spans) == spans
-    assert shard == -1
 
 
 @given(worker=st.integers(0, 2**31 - 1), op=st.sampled_from([CONTROL_JOIN, CONTROL_LEAVE]))
 @settings(max_examples=25, deadline=None)
 def test_control_frame_over_tcp(pair, worker, op):
-    out, shard = pair.roundtrip(ControlFrame(worker_id=worker, op=op))
+    out = pair.roundtrip(ControlFrame(worker_id=worker, op=op))
     assert out == ControlFrame(worker_id=worker, op=op)
-    assert shard == -1
 
 
 def test_wire_counters_exclude_length_prefix(pair):
@@ -212,7 +203,7 @@ def test_wire_counters_exclude_length_prefix(pair):
 def test_large_frame_reassembles_across_tcp_segments(pair):
     """A frame far beyond one TCP segment arrives byte-identically."""
     big = {"w": np.arange(300_000, dtype=np.float64)}
-    out, _ = pair.roundtrip(ModelFrame(ModelMessage(0, big, 5, 0)))
+    out = pair.roundtrip(ModelFrame(ModelMessage(0, big, 5, 0)))
     np.testing.assert_array_equal(
         out.message.payload["w"], big["w"].astype(np.float32).astype(np.float64)
     )

@@ -21,8 +21,8 @@ from repro.ps.messages import GradientMessage
 from repro.ps.threaded import ThreadedTrainer
 
 
-def _server(num_workers=2, arena=False, num_shards=1, method="dgs"):
-    model = MLP(8, (12,), 3, seed=4)
+def _server(num_workers=2, arena=False, num_shards=1, method="dgs", out_dim=3):
+    model = MLP(8, (12,), out_dim, seed=4)
     return build_server(
         get_method(method),
         parameters_of(model),
@@ -44,9 +44,7 @@ def _advance(server, steps=3, worker=0):
 
 
 def _flat_state(server):
-    if hasattr(server, "shards"):
-        return [b.copy() for s in server.checkpoint_state()["shards"] for b in s["buffers"]]
-    return [b.copy() for b in server.checkpoint_state()["buffers"]]
+    return [b.copy() for s in server.checkpoint_state()["shards"] for b in s["buffers"]]
 
 
 @pytest.mark.parametrize(
@@ -88,7 +86,7 @@ def test_restore_into_fresh_server_grows_worker_set(tmp_path):
     save_checkpoint(source, tmp_path / "c.ckpt")
     target = _server(num_workers=1)
     load_checkpoint(target, tmp_path / "c.ckpt")
-    assert target.tracker.num_workers == 3
+    assert target.shards[0].tracker.num_workers == 3
     for got, want in zip(_flat_state(target), _flat_state(source)):
         np.testing.assert_array_equal(got, want)
 
@@ -127,6 +125,28 @@ class TestValidation:
         )
         with pytest.raises(ValueError):
             load_checkpoint(other, path)
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("arena", [False, True], ids=["dict", "arena"])
+    def test_rejected_load_leaves_state_untouched(self, tmp_path, arena, num_shards):
+        """A checkpoint of a model with a different output width is refused
+        before any shard is written: θ_t, M / v_k and t stay bitwise."""
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(_server(arena=arena, num_shards=num_shards), path)
+        target = _server(arena=arena, num_shards=num_shards, out_dim=5)
+        _advance(target, steps=2)
+        model_before = {k: v.copy() for k, v in target.global_model().items()}
+        state_before = _flat_state(target)
+        t_before = target.timestamp
+        with pytest.raises(ValueError):
+            load_checkpoint(target, path)
+        assert target.timestamp == t_before
+        model_after = target.global_model()
+        assert list(model_after) == list(model_before)
+        for name, want in model_before.items():
+            np.testing.assert_array_equal(model_after[name], want)
+        for got, want in zip(_flat_state(target), state_before, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         path = tmp_path / "c.ckpt"

@@ -44,9 +44,9 @@ def _advance(server, steps=3, rng_seed=9):
         server.handle(GradientMessage(0, payload, i))
 
 
-def _tracker_v(server, worker):
-    vk = server.tracker.v[worker]
-    M = server.tracker.M
+def _tracker_v(shard, worker):
+    vk = shard.tracker.v[worker]
+    M = shard.tracker.M
     if hasattr(M, "flat"):  # arena buffers
         return np.array(vk.flat), np.array(M.flat)
     flat = lambda buffers: np.concatenate([np.ravel(b) for b in buffers.values()])
@@ -59,7 +59,7 @@ class TestBootstrapInvariant:
         server = _server(num_workers=1, arena=arena)
         _advance(server)
         msg = server.bootstrap_worker(1)  # grows the worker set
-        v, M = _tracker_v(server, 1)
+        v, M = _tracker_v(server.shards[0], 1)
         np.testing.assert_array_equal(v, M)
         assert msg.worker_id == 1
         assert msg.server_timestamp == server.timestamp
@@ -70,7 +70,7 @@ class TestBootstrapInvariant:
         server.bootstrap_worker(1)
         _advance(server)  # moves M; worker 1's v_k is now stale
         server.bootstrap_worker(1)
-        v, M = _tracker_v(server, 1)
+        v, M = _tracker_v(server.shards[0], 1)
         np.testing.assert_array_equal(v, M)
 
     def test_bootstrap_reply_model_is_theta_t(self, arena):
@@ -121,7 +121,7 @@ class TestModelModeBootstrap:
         server = _server(num_workers=1, method="asgd")
         _advance(server)
         msg = server.bootstrap_worker(3)
-        assert server.tracker.num_workers == 4
+        assert server.shards[0].tracker.num_workers == 4
         current = server.global_model()
         for name in current:
             np.testing.assert_array_equal(

@@ -141,4 +141,4 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert srv.timestamp == 40
-        np.testing.assert_allclose(srv.tracker.M["w"], expected, atol=1e-12)
+        np.testing.assert_allclose(srv.shards[0].tracker.M["w"], expected, atol=1e-12)

@@ -49,7 +49,7 @@ class TestFailureInjection:
         trainer = make(tiny_dataset, tiny_model_factory, fail_at={3: 2})
         trainer.run()
         # Server still tracks the dead worker; its gap keeps growing.
-        assert trainer.server.tracker.staleness(3) > 50
+        assert trainer.server.shards[0].tracker.staleness(3) > 50
 
 
 class TestStalenessDamping:
@@ -73,9 +73,9 @@ class TestStalenessDamping:
         # worker 1 pushes twice -> worker 0's next update has staleness 2
         for _ in range(2):
             srv.handle(GradientMessage(1, OrderedDict([("w", encode_sparse(g))]), 0))
-        m_before = srv.tracker.M["w"].copy()
+        m_before = srv.shards[0].tracker.M["w"].copy()
         srv.handle(GradientMessage(0, OrderedDict([("w", encode_sparse(g))]), 0))
-        applied = m_before[0] - srv.tracker.M["w"][0]
+        applied = m_before[0] - srv.shards[0].tracker.M["w"][0]
         assert applied == pytest.approx(1.0 / 3.0)
 
     def test_damping_still_learns(self, tiny_dataset, tiny_model_factory):
