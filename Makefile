@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint arch-check concurrency-smoke test bench-smoke bench-kernels bench-shards trace-smoke backend-matrix comm-smoke run-report-smoke shard-smoke socket-smoke
+.PHONY: lint arch-check concurrency-smoke test stepbench-selftest bench-smoke bench-kernels bench-shards trace-smoke backend-matrix comm-smoke run-report-smoke shard-smoke socket-smoke
 
 ## Static analysis: AST lint + lock discipline + lock graph + layering +
 ## sanitizer self-check.
@@ -21,6 +21,11 @@ concurrency-smoke:
 ## Tier-1 test suite.
 test:
 	$(PYTHON) -m pytest -x -q
+
+## Self-tests of the step benchmark (stepbench/ sits outside tier-1's
+## testpaths; ~4 s).
+stepbench-selftest:
+	$(PYTHON) -m pytest -q stepbench
 
 ## Quarter-scale pass over every paper table/figure (~2 min).
 bench-smoke:

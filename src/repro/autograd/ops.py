@@ -1,8 +1,9 @@
-"""Structured-array autograd ops: convolution and pooling via im2col.
+"""Structured-array autograd ops: convolution and pooling.
 
 These carry hand-written backward passes (rather than being composed from
-primitives) because im2col/col2im is the vectorised formulation — a direct
-loop over output pixels would be orders of magnitude slower in Python.
+primitives) because the vectorised formulations below — a batched patch
+matmul for convolution, im2col/col2im for pooling — are orders of
+magnitude faster in Python than a loop over output pixels.
 """
 
 from __future__ import annotations
@@ -18,22 +19,27 @@ def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0
-) -> tuple[np.ndarray, int, int]:
-    """Unfold ``x`` (N, C, H, W) into columns of shape (N*OH*OW, C*kh*kw)."""
+def _patches(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Zero-copy strided view of ``x`` (N, C, H, W) as (N, C, kh, kw, OH, OW)."""
     n, c, h, w = x.shape
     oh, ow = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # Strided view: (N, C, kh, kw, OH, OW) without copying.
     sN, sC, sH, sW = x.strides
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         x,
         shape=(n, c, kh, kw, oh, ow),
         strides=(sN, sC, sH, sW, sH * stride, sW * stride),
         writeable=False,
     )
+
+
+def im2col(
+    x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0
+) -> tuple[np.ndarray, int, int]:
+    """Unfold ``x`` (N, C, H, W) into columns of shape (N*OH*OW, C*kh*kw)."""
+    view = _patches(x, kh, kw, stride, pad)
+    n, c, _, _, oh, ow = view.shape
     cols = view.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
     return np.ascontiguousarray(cols), oh, ow
 
@@ -62,32 +68,46 @@ def col2im(
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation: x (N,C,H,W) * weight (F,C,kh,kw) -> (N,F,OH,OW)."""
+    """2-D cross-correlation: x (N,C,H,W) * weight (F,C,kh,kw) -> (N,F,OH,OW).
+
+    Forward is one batched matmul ``(F, C·kh·kw) @ (N, C·kh·kw, OH·OW)``,
+    so the output is contiguous NCHW.  The input gradient needs no
+    col2im: each kernel tap is one ``(OH·OW·N, F) @ (F, C)`` matmul added
+    into a padded ``(H+2p, W+2p, N, C)`` buffer along its long trailing
+    N·C axis.
+    """
     n, c, h, w = x.shape
     f, c2, kh, kw = weight.shape
     if c != c2:
         raise ValueError(f"channel mismatch: input has {c}, kernel expects {c2}")
-    cols, oh, ow = im2col(x.data, kh, kw, stride, pad)
+    view = _patches(x.data, kh, kw, stride, pad)
+    oh, ow = view.shape[4:]
+    cols = view.reshape(n, c * kh * kw, oh * ow)  # copies the strided view
     wmat = weight.data.reshape(f, -1)  # (F, C*kh*kw)
-    out = cols @ wmat.T  # (N*OH*OW, F)
+    out = wmat @ cols  # (N, F, OH*OW)
     if bias is not None:
-        out += bias.data
-    out_data = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
+        out += bias.data[:, None]
+    out_data = out.reshape(n, f, oh, ow)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     result = Tensor(out_data)
     if is_grad_enabled() and any(p.requires_grad for p in parents):
 
         def backward(g: np.ndarray) -> None:
-            gmat = g.transpose(0, 2, 3, 1).reshape(-1, f)  # (N*OH*OW, F)
+            gmat = g.reshape(n, f, oh * ow)
             if weight.requires_grad:
-                gw = gmat.T @ cols  # (F, C*kh*kw)
+                gw = np.tensordot(gmat, cols, axes=([0, 2], [0, 2]))  # (F, C*kh*kw)
                 weight._accumulate(gw.reshape(weight.shape))
             if bias is not None and bias.requires_grad:
-                bias._accumulate(gmat.sum(axis=0))
+                bias._accumulate(gmat.sum(axis=(0, 2)))
             if x.requires_grad:
-                gcols = gmat @ wmat  # (N*OH*OW, C*kh*kw)
-                x._accumulate(col2im(gcols, (n, c, h, w), kh, kw, stride, pad))
+                gtaps = g.transpose(2, 3, 0, 1).reshape(oh * ow * n, f)
+                padded = np.zeros((h + 2 * pad, w + 2 * pad, n, c), dtype=g.dtype)
+                for i in range(kh):
+                    for j in range(kw):
+                        tap = (gtaps @ weight.data[:, :, i, j]).reshape(oh, ow, n, c)
+                        padded[i : i + stride * oh : stride, j : j + stride * ow : stride] += tap
+                x._accumulate(padded[pad : pad + h, pad : pad + w].transpose(2, 3, 0, 1))
 
         result.requires_grad = True
         result._parents = parents

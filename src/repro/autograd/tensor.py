@@ -11,7 +11,11 @@ Design notes (following the HPC-Python guides):
 * every op is vectorised — there are no per-element Python loops;
 * gradients are accumulated **in place** (``+=``) into preallocated buffers;
 * broadcasting is supported through :func:`_unbroadcast`, which sums a
-  gradient back down to the shape of the input it flowed from.
+  gradient back down to the shape of the input it flowed from;
+* the dtype follows the arrays: a floating ``ndarray`` keeps its dtype,
+  anything else (Python scalars, lists, integer arrays) becomes float32,
+  and a scalar operand takes the dtype of the tensor it meets — so a
+  float32 model stays float32 and a float64 one (gradchecks) stays float64.
 """
 
 from __future__ import annotations
@@ -59,11 +63,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_array(data: "Tensor | np.ndarray | float | int | list", dtype=np.float64) -> np.ndarray:
+def _as_array(data: "Tensor | np.ndarray | float | int | list") -> np.ndarray:
     if isinstance(data, Tensor):
         return data.data
-    arr = np.asarray(data, dtype=dtype)
-    return arr
+    if isinstance(data, (np.ndarray, np.floating)) and data.dtype.kind == "f":
+        return np.asarray(data)
+    return np.asarray(data, dtype=np.float32)
 
 
 class Tensor:
@@ -125,6 +130,18 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+
+    def _operand(self, other) -> "Tensor":
+        """``other`` as a Tensor; a scalar or non-float operand takes our dtype.
+
+        Under NEP 50 a float64 0-d array is a strong type, so ``x * 0.5``
+        lifted naively would silently promote a float32 ``x`` to float64.
+        """
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, np.ndarray) and other.ndim and other.dtype.kind == "f":
+            return Tensor(other)
+        return Tensor(np.asarray(other, dtype=self.data.dtype))
 
     # ------------------------------------------------------------------
     # Tape machinery
@@ -191,7 +208,7 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward(g: np.ndarray) -> None:
@@ -212,7 +229,7 @@ class Tensor:
         return self._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         out_data = self.data - other.data
 
         def backward(g: np.ndarray) -> None:
@@ -224,10 +241,10 @@ class Tensor:
         return self._make(out_data, (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) - self
+        return self._operand(other) - self
 
     def __mul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward(g: np.ndarray) -> None:
@@ -241,7 +258,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         out_data = self.data / other.data
 
         def backward(g: np.ndarray) -> None:
@@ -255,11 +272,13 @@ class Tensor:
         return self._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return Tensor(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
+        if isinstance(exponent, np.generic):  # a numpy scalar would set the dtype
+            exponent = exponent.item()
         out_data = self.data**exponent
 
         def backward(g: np.ndarray) -> None:
@@ -272,7 +291,7 @@ class Tensor:
     # Matrix / reduction ops
     # ------------------------------------------------------------------
     def matmul(self, other: "Tensor") -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         out_data = self.data @ other.data
 
         def backward(g: np.ndarray) -> None:
@@ -487,6 +506,7 @@ class Tensor:
 
 def _tensor_factory(fn):
     def wrapper(*args, requires_grad: bool = False, **kwargs) -> Tensor:
+        kwargs.setdefault("dtype", np.float32)
         return Tensor(fn(*args, **kwargs), requires_grad=requires_grad)
 
     wrapper.__name__ = fn.__name__

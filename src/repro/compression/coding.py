@@ -73,7 +73,7 @@ class SparseTensor:
         return HEADER_BYTES + self.nnz * (VALUE_BYTES + INDEX_BYTES)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(int(np.prod(self.shape)), dtype=np.float64)
+        out = np.zeros(int(np.prod(self.shape)), dtype=self.values.dtype)
         out[self.indices] = self.values
         return out.reshape(self.shape)
 
@@ -129,7 +129,7 @@ class BitmapTensor:
     """
 
     bitmap: np.ndarray  # packed uint8, ceil(n/8) bytes
-    values: np.ndarray  # (nnz,) float64, in flat index order
+    values: np.ndarray  # (nnz,) float32 from the encoders, in flat index order
     shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -154,7 +154,7 @@ class BitmapTensor:
         return np.flatnonzero(bits[: int(np.prod(self.shape))])
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(int(np.prod(self.shape)), dtype=np.float64)
+        out = np.zeros(int(np.prod(self.shape)), dtype=self.values.dtype)
         out[self._flat_indices()] = self.values
         return out.reshape(self.shape)
 
@@ -196,8 +196,9 @@ class QuantizedSparseTensor:
         return HEADER_BYTES + VALUE_BYTES + self.nnz * INDEX_BYTES + (2 * self.nnz + 7) // 8
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(int(np.prod(self.shape)), dtype=np.float64)
-        out[self.indices] = self.signs * self.scale
+        values = self.signs * self.scale
+        out = np.zeros(int(np.prod(self.shape)), dtype=values.dtype)
+        out[self.indices] = values
         return out.reshape(self.shape)
 
     def add_into(self, dest: np.ndarray) -> None:

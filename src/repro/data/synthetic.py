@@ -79,6 +79,8 @@ class Dataset:
 def _split(
     x: np.ndarray, y: np.ndarray, val_fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shuffle into train/val; inputs come out float32, the engine dtype."""
+    x = x.astype(np.float32)
     n = len(x)
     perm = rng.permutation(n)
     n_val = max(1, int(round(n * val_fraction)))
@@ -166,7 +168,6 @@ def make_image_classes(
     # Per-sample channel gain and additive noise.
     gain = 1.0 + 0.1 * rng.normal(size=(n_samples, channels, 1, 1))
     x = x * gain + rng.normal(0.0, 0.35 * difficulty, size=x.shape)
-    x = x.astype(np.float64)
 
     xtr, ytr, xv, yv = _split(x, y, val_fraction, rng)
     return Dataset(xtr, ytr, xv, yv, num_classes, name=name)

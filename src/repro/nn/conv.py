@@ -12,7 +12,7 @@ __all__ = ["Conv2d", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
 
 
 class Conv2d(Module):
-    """2-D convolution (cross-correlation), im2col-based."""
+    """2-D convolution (cross-correlation) as one batched patch matmul."""
 
     def __init__(
         self,
@@ -34,7 +34,7 @@ class Conv2d(Module):
         self.weight = Parameter(
             init.kaiming_uniform((out_channels, in_channels, kernel_size, kernel_size), rng)
         )
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        self.bias = Parameter(init.zeros((out_channels,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.stride, pad=self.padding)

@@ -1,4 +1,9 @@
-"""Weight initialisation schemes."""
+"""Weight initialisation schemes.
+
+Every scheme returns float32, the engine and wire dtype.  Random draws are
+made in float64 and then rounded, so a seed's draw sequence does not
+depend on the dtype.
+"""
 
 from __future__ import annotations
 
@@ -25,24 +30,24 @@ def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: floa
     """He/Kaiming uniform init (the ResNet default)."""
     fan_in, _ = _fan_in_out(shape)
     bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = math.sqrt(2.0)) -> np.ndarray:
     fan_in, _ = _fan_in_out(shape)
     std = gain / math.sqrt(fan_in)
-    return rng.normal(0.0, std, size=shape)
+    return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
     fan_in, fan_out = _fan_in_out(shape)
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape)
+    return np.zeros(shape, dtype=np.float32)
 
 
 def ones(shape: tuple[int, ...]) -> np.ndarray:
-    return np.ones(shape)
+    return np.ones(shape, dtype=np.float32)

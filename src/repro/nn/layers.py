@@ -26,7 +26,7 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.kaiming_uniform((out_features, in_features), rng))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         out = x @ self.weight.T
@@ -79,4 +79,4 @@ class Dropout(Module):
         if not self.training or self.p == 0.0:
             return x
         mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
+        return x * Tensor(mask.astype(x.dtype))

@@ -94,6 +94,16 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
+    def to(self, dtype: "np.dtype | type | str") -> "Module":
+        """Recast every parameter and buffer to ``dtype`` (e.g. float64 for gradchecks)."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype)  # repro: noqa TEN001 — dtype recast, not an update
+            p.grad = None
+        for m in self.modules():
+            for name, value in list(m._buffers.items()):
+                m.set_buffer(name, value.astype(dtype))
+        return self
+
     # ------------------------------------------------------------------
     def state_dict(self) -> "OrderedDict[str, np.ndarray]":
         state: OrderedDict[str, np.ndarray] = OrderedDict()

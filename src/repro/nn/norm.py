@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor
+from . import init
 from .module import Module, Parameter
 
 __all__ = ["BatchNorm1d", "BatchNorm2d", "LayerNorm", "GroupNorm"]
@@ -20,10 +21,10 @@ class _BatchNorm(Module):
         self.num_features = num_features
         self.eps = eps
         self.momentum = momentum
-        self.weight = Parameter(np.ones(num_features))
-        self.bias = Parameter(np.zeros(num_features))
-        self.register_buffer("running_mean", np.zeros(num_features))
-        self.register_buffer("running_var", np.ones(num_features))
+        self.weight = Parameter(init.ones((num_features,)))
+        self.bias = Parameter(init.zeros((num_features,)))
+        self.register_buffer("running_mean", init.zeros((num_features,)))
+        self.register_buffer("running_var", init.ones((num_features,)))
 
     def _reshape_stats(self, arr: np.ndarray, ndim: int) -> np.ndarray:
         shape = [1] * ndim
@@ -89,8 +90,8 @@ class LayerNorm(Module):
         super().__init__()
         self.num_features = num_features
         self.eps = eps
-        self.weight = Parameter(np.ones(num_features))
-        self.bias = Parameter(np.zeros(num_features))
+        self.weight = Parameter(init.ones((num_features,)))
+        self.bias = Parameter(init.zeros((num_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.num_features:
@@ -113,8 +114,8 @@ class GroupNorm(Module):
         self.num_groups = num_groups
         self.num_channels = num_channels
         self.eps = eps
-        self.weight = Parameter(np.ones(num_channels))
-        self.bias = Parameter(np.zeros(num_channels))
+        self.weight = Parameter(init.ones((num_channels,)))
+        self.bias = Parameter(init.zeros((num_channels,)))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != self.num_channels:

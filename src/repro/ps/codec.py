@@ -123,7 +123,7 @@ def _decode_layer(buf: memoryview, off: int):
     shape, off = _unpack_dims(buf, off)
     n = int(np.prod(shape)) if shape else 1
     if tag == 0:
-        data = np.frombuffer(buf, dtype="<f4", count=n, offset=off).astype(np.float64)
+        data = np.frombuffer(buf, dtype="<f4", count=n, offset=off)
         off += 4 * n
         return name, data.reshape(shape), off
     if tag == 1:
@@ -131,7 +131,7 @@ def _decode_layer(buf: memoryview, off: int):
         off += 4
         idx = np.frombuffer(buf, dtype="<u4", count=nnz, offset=off).astype(np.int64)
         off += 4 * nnz
-        vals = np.frombuffer(buf, dtype="<f4", count=nnz, offset=off).astype(np.float64)
+        vals = np.frombuffer(buf, dtype="<f4", count=nnz, offset=off)
         off += 4 * nnz
         return name, SparseTensor(idx, vals, shape), off
     if tag == 2:
@@ -149,7 +149,7 @@ def _decode_layer(buf: memoryview, off: int):
         bm_len = (n + 7) // 8
         bitmap = np.frombuffer(buf, dtype=np.uint8, count=bm_len, offset=off).copy()
         off += bm_len
-        vals = np.frombuffer(buf, dtype="<f4", count=nnz, offset=off).astype(np.float64)
+        vals = np.frombuffer(buf, dtype="<f4", count=nnz, offset=off)
         off += 4 * nnz
         return name, BitmapTensor(bitmap, vals, shape), off
     raise ValueError(f"unknown layer tag {tag}")
@@ -170,7 +170,11 @@ def encode_message(msg: "GradientMessage | DiffMessage | ModelMessage") -> bytes
 
 
 def decode_message(raw: "bytes | memoryview"):
-    """Inverse of :func:`encode_message` (values come back as float32)."""
+    """Inverse of :func:`encode_message`.
+
+    Values come back as float32 views into ``raw`` with no copy, so they
+    are read-only when ``raw`` is ``bytes`` and must not be written to.
+    """
     buf = memoryview(raw)
     magic, version, kind, worker, meta, nlayers = _HEADER.unpack_from(buf, 0)
     if magic != MAGIC:

@@ -166,7 +166,7 @@ class SynchronousTrainer:
             else:
                 agg = OrderedDict()
                 for name, p in self._params.items():
-                    agg[name] = np.zeros_like(p.data)
+                    agg[name] = np.zeros(p.shape)  # the float64 reference
                 for msg in msgs:
                     for name, layer in msg.payload.items():
                         if isinstance(layer, SparseTensor):

@@ -1,5 +1,7 @@
 """Convolution/pooling ops: im2col correctness, gradients, naive equivalence."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -66,14 +68,26 @@ class TestIm2Col:
 
 
 class TestConv2d:
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0)])
-    def test_matches_naive(self, rng, stride, pad):
-        x = t(rng, 2, 3, 6, 6)
-        w = t(rng, 4, 3, 3, 3)
-        b = t(rng, 4)
-        out = conv2d(x, w, b, stride=stride, pad=pad)
-        expected = naive_conv2d(x.data, w.data, b.data, stride, pad)
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+    @pytest.mark.parametrize(
+        "stride,pad,dtype",
+        [
+            pytest.param(1, 0, np.float64, id="1-0"),
+            pytest.param(1, 1, np.float64, id="1-1"),
+            pytest.param(2, 1, np.float64, id="2-1"),
+            pytest.param(2, 0, np.float64, id="2-0"),
+            pytest.param(2, 1, np.float32, id="2-1-float32"),
+        ],
+    )
+    def test_matches_naive(self, rng, stride, pad, dtype):
+        x, w, b = (rng.normal(size=s).astype(dtype) for s in ((2, 3, 6, 6), (4, 3, 3, 3), (4,)))
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad)
+        # The reference runs in float64 on the same (possibly float32) inputs.
+        expected = naive_conv2d(*(a.astype(np.float64) for a in (x, w, b)), stride, pad)
+        assert out.dtype == dtype and out.data.flags.c_contiguous
+        if dtype == np.float64:
+            np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        else:
+            np.testing.assert_allclose(out.data, expected, rtol=1e-5)
 
     def test_no_bias(self, rng):
         x, w = t(rng, 1, 2, 4, 4), t(rng, 3, 2, 3, 3)
@@ -85,12 +99,22 @@ class TestConv2d:
         with pytest.raises(ValueError):
             conv2d(t(rng, 1, 2, 4, 4), t(rng, 3, 5, 3, 3), None)
 
-    def test_gradcheck_all_inputs(self, rng):
-        x = t(rng, 2, 2, 5, 5)
-        w = t(rng, 3, 2, 3, 3)
+    @pytest.mark.parametrize(
+        "kernel,stride,pad,size",
+        [
+            pytest.param(*case, id="k{}-s{}-p{}-h{}".format(*case))
+            for case in itertools.product((1, 3), (1, 2), (0, 1), (5, 6))
+        ],
+    )
+    def test_gradcheck_all_inputs(self, rng, kernel, stride, pad, size):
+        """Covers (H + 2p - k) % s != 0, where the last rows get no gradient."""
+        x = t(rng, 2, 2, size, size)
+        w = t(rng, 3, 2, kernel, kernel)
         b = t(rng, 3)
         assert gradcheck(
-            lambda x, w, b: (conv2d(x, w, b, stride=2, pad=1) ** 2).sum(), [x, w, b], atol=1e-4
+            lambda x, w, b: (conv2d(x, w, b, stride=stride, pad=pad) ** 2).sum(),
+            [x, w, b],
+            atol=1e-4,
         )
 
     def test_no_tape_without_grad(self, rng):

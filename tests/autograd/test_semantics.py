@@ -86,4 +86,4 @@ class TestDtype:
 
     def test_int_input_promoted(self):
         a = Tensor([1, 2, 3])
-        assert a.dtype == np.float64
+        assert a.dtype == np.float32

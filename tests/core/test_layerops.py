@@ -64,7 +64,7 @@ class TestLayerOps:
     def test_totals(self, model):
         params = parameters_of(model)
         assert total_size(params) == model.num_parameters()
-        assert total_nbytes(params) == model.num_parameters() * 8
+        assert total_nbytes(params) == model.num_parameters() * np.dtype(np.float32).itemsize
 
     def test_flatten(self):
         flat = flatten_layers({"a": np.ones((2, 2)), "b": np.zeros(3)})

@@ -40,11 +40,14 @@ class TestGradientRoundtrip:
             np.testing.assert_array_equal(a.indices, b.indices)
             np.testing.assert_allclose(a.values, b.values, rtol=1e-6)  # f32 wire
             assert a.shape == b.shape
+            assert b.values.dtype == b.to_dense().dtype == np.float32
 
     def test_dense_payload(self, rng):
         payload = OrderedDict([("w", rng.normal(size=(4, 5)))])
         out = decode_message(encode_message(GradientMessage(0, payload, 0)))
         np.testing.assert_allclose(out.payload["w"], payload["w"], rtol=1e-6)
+        # a float32 view of the frame bytes, not a widened copy
+        assert out.payload["w"].dtype == np.float32 and not out.payload["w"].flags.writeable
 
     def test_quantized_payload(self, rng):
         idx = np.array([1, 5, 9], dtype=np.int64)

@@ -24,8 +24,11 @@ class TestEq7Semantics:
         """θ₁ = θ₀ − Σ_k η∇_k exactly (dense ASGD strategy, Eq. 7)."""
         from repro.core.layerops import parameters_of
 
+        def f64_model_factory():  # exact at float64, the reference dtype
+            return tiny_model_factory().to(np.float64)
+
         trainer = SynchronousTrainer(
-            "asgd", tiny_model_factory, tiny_dataset, cluster(n=2),
+            "asgd", f64_model_factory, tiny_dataset, cluster(n=2),
             batch_size=16, rounds=1, hyper=Hyper(lr=0.1), seed=0,
         )
         theta0 = parameters_of(trainer.model)
@@ -36,7 +39,7 @@ class TestEq7Semantics:
         from repro.nn import cross_entropy
         from repro.core.layerops import gradients_of
 
-        ref_model = tiny_model_factory()
+        ref_model = f64_model_factory()
         for name, p in ref_model.named_parameters():
             np.copyto(p.data, theta0[name])
         loader = DataLoader(tiny_dataset, 16, seed=0)
