@@ -4,8 +4,9 @@ These are the per-iteration costs every experiment pays: top-k selection
 (exact vs the sampled adaptive variant), COO encoding, SAMomentum's
 prepare step, conv2d forward+backward, and one simulator exchange.  Each
 selection/encode/strategy kernel appears twice — the dict-of-float64
-reference path and the arena/workspace path — mirroring the pairs that
-``check_regression.py`` gates against ``BENCH_kernels.json``.
+reference path (inlined where ``repro`` no longer has one) and the
+arena/workspace path — mirroring the pairs that ``check_regression.py``
+gates against ``BENCH_kernels.json``.
 """
 
 from collections import OrderedDict
@@ -72,16 +73,27 @@ class TestSelectionKernels:
 
 class TestStrategyKernels:
     def test_samomentum_prepare(self, benchmark, big_layer):
-        shapes = OrderedDict([("w", (N,))])
-        strat = SAMomentumStrategy(shapes, TopKSparsifier(0.01, min_sparse_size=0), 0.7)
-        grads = OrderedDict([("w", big_layer)])
-        out = benchmark(strat.prepare, grads, 0.1)
-        assert out["w"].nnz == N // 100
+        """The dict-of-float64 reference loop (Algorithm 3), inlined."""
+        sparsifier = TopKSparsifier(0.01, min_sparse_size=0)
+        state = {"w": np.zeros(N)}
+        m = 0.7
+
+        def prepare(g, lr):
+            u = state["w"]
+            u *= m
+            u += lr * g
+            mask = sparsifier.mask(u)
+            sent = encode_mask(u, mask)
+            np.divide(u, m, out=u, where=~mask)
+            return sent
+
+        out = benchmark(prepare, big_layer, 0.1)
+        assert out.nnz == N // 100
 
     def test_samomentum_prepare_arena(self, benchmark, big_layer):
         shapes = OrderedDict([("w", (N,))])
         strat = SAMomentumStrategy(
-            shapes, TopKSparsifier(0.01, min_sparse_size=0), 0.7, arena=True
+            shapes, TopKSparsifier(0.01, min_sparse_size=0), 0.7, dtype=np.float32
         )
         grads = OrderedDict([("w", big_layer)])
         out = benchmark(strat.prepare, grads, 0.1)

@@ -1,8 +1,9 @@
 """Reference/optimised pairs for the hot-path kernel regression gate.
 
 Each pair runs the *same logical work* twice — once through the historical
-dict-of-float64 reference path and once through the arena/workspace path —
-so the speedup ratio (ref time / opt time) is meaningful on any machine.
+dict-of-float64 reference path (kept inline here; ``repro`` holds layer
+state in arenas only) and once through the arena/workspace path — so the
+speedup ratio (ref time / opt time) is meaningful on any machine.
 ``benchmarks/check_regression.py`` times these pairs and compares ratios
 against the committed ``benchmarks/BENCH_kernels.json`` baseline;
 ``bench_micro_kernels.py`` exposes the same pairs to pytest-benchmark for
@@ -97,18 +98,30 @@ def make_pairs() -> "OrderedDict[str, tuple]":
     )
 
     # --- SAMomentum prepare (informative, not gated): full Algorithm 3
-    # step through the dict strategy vs the arena strategy.
+    # step.  Reference: the dict-of-float64 strategy's per-layer loop,
+    # inlined.  Optimised: the arena strategy at float32.
     from repro.compression import TopKSparsifier
     from repro.core.strategies import SAMomentumStrategy
 
     sam_shapes = OrderedDict([("w", (N,))])
-    sam_ref = SAMomentumStrategy(sam_shapes, TopKSparsifier(RATIO, min_sparse_size=0), 0.7)
-    sam_opt = SAMomentumStrategy(
-        sam_shapes, TopKSparsifier(RATIO, min_sparse_size=0), 0.7, arena=True
-    )
+    sam_sparsifier = TopKSparsifier(RATIO, min_sparse_size=0)
+    sam_u = OrderedDict((name, np.zeros(s)) for name, s in sam_shapes.items())
+    sam_opt = SAMomentumStrategy(sam_shapes, sam_sparsifier, 0.7, dtype=np.float32)
     grads = OrderedDict([("w", arr)])
+
+    def samomentum_dict(lr=0.1, m=0.7):
+        out = OrderedDict()
+        for name, g in grads.items():
+            u = sam_u[name]
+            u *= m
+            u += lr * g
+            mask = sam_sparsifier.mask(u)
+            out[name] = encode_mask(u, mask)
+            np.divide(u, m, out=u, where=~mask)
+        return out
+
     pairs["samomentum_prepare"] = (
-        lambda: sam_ref.prepare(grads, 0.1),
+        samomentum_dict,
         lambda: sam_opt.prepare(grads, 0.1),
     )
 

@@ -1,6 +1,6 @@
 """The paper's contribution: DGS worker strategies + model-difference server."""
 
-from .arena import LayerArena, make_layer_buffers
+from .arena import LayerArena
 from .layerops import (
     add_scaled,
     assign_parameters,
@@ -8,6 +8,7 @@ from .layerops import (
     flatten_layers,
     gradients_of,
     layer_shapes,
+    parameter_dtype,
     parameters_of,
     total_nbytes,
     total_size,
@@ -33,8 +34,8 @@ from .extensions import (
 
 __all__ = [
     "LayerArena",
-    "make_layer_buffers",
     "layer_shapes",
+    "parameter_dtype",
     "zeros_like_layers",
     "clone_layers",
     "gradients_of",

@@ -2,20 +2,21 @@
 
 All distributed state in this reproduction (the server's ``M`` and ``v_k``,
 worker residuals/momenta, dense update payloads) is a mapping ``layer name
--> ndarray``.  The reference representation is a dict of independently
-allocated arrays, which makes every whole-state operation — apply an
-update, advance ``v_k``, compute a model difference — a per-layer Python
-loop that re-allocates temporaries, on the server *under the lock*.
+-> ndarray``.  Held as a dict of independently allocated arrays, every
+whole-state operation — apply an update, advance ``v_k``, compute a model
+difference — would be a per-layer Python loop that re-allocates
+temporaries, on the server *under the lock*.
 
 :class:`LayerArena` stores the same state as **one contiguous buffer with
-named per-layer views**.  It implements the ``Mapping[str, np.ndarray]``
-protocol, so everything that walks layers (checkpointing, byte accounting,
-the reference per-layer code paths) keeps working unchanged — but the
+named per-layer views**, and it is the only layer-state type: every
+strategy and the server tracker hold their buffers in one.  It implements
+the ``Mapping[str, np.ndarray]`` protocol, so everything that walks layers
+(checkpointing, byte accounting, per-layer encode) keeps working — but the
 whole-state operations collapse to single vectorised in-place ops on
 ``flat``:
 
 ========================  =============================================
-dict-of-arrays reference  arena equivalent
+dict-of-arrays form       arena equivalent
 ========================  =============================================
 ``add_scaled(d, s)``      ``d.add_(s, scale)`` — one fused axpy
 ``clone_layers(x)``       ``x.clone()`` — one memcpy
@@ -27,14 +28,17 @@ dict-of-arrays reference  arena equivalent
 
 Because elementwise IEEE arithmetic does not depend on how the operands
 are batched, every arena op is **bitwise-identical** to the corresponding
-per-layer reference loop at equal dtype (pinned by the property tests in
-``tests/properties/test_prop_arena_parity.py``).
+per-layer dict loop at equal dtype (pinned by the property tests in
+``tests/properties/test_prop_arena_parity.py`` against a dict oracle that
+lives in the tests).
 
-Dtype: the arena defaults to float32 — the wire dtype (``VALUE_BYTES = 4``)
-and the dtype real deployments hold end-to-end — halving the memory
-traffic of every whole-state op.  Pass ``dtype=np.float64`` to reproduce
-the reference path bit-for-bit (that is what the parity tests and
-``RunConfig(arena_dtype="float64")`` do).
+Dtype: the state dtype follows the data.  The server holds θ0, ``M`` and
+every ``v_k`` in θ0's dtype and each worker holds its strategy state in
+its model's parameter dtype — float32 for the default engine, which is
+also the wire dtype (``VALUE_BYTES = 4``); a float64 model
+(``Module.to(np.float64)``) gives float64 state.  A bare ``LayerArena``
+defaults to float32; strategies and the tracker built directly default to
+float64, the reference the exactness tests compare against.
 
 Ownership rules are documented in ``docs/performance.md``: an arena
 returned by a strategy's ``prepare()`` is valid until the *next*
@@ -51,7 +55,7 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = ["LayerArena", "make_layer_buffers"]
+__all__ = ["LayerArena"]
 
 
 class LayerArena(MappingABC):
@@ -152,7 +156,7 @@ class LayerArena(MappingABC):
         return LayerArena(self.shapes, dtype=self.dtype, _flat=self.flat.copy())
 
     def as_dict(self) -> "OrderedDict[str, np.ndarray]":
-        """Materialise an independent dict-of-arrays copy (reference form)."""
+        """Materialise an independent dict-of-arrays copy."""
         return OrderedDict((name, view.copy()) for name, view in self._views.items())
 
     def copy_(self, other: "LayerArena | Mapping[str, np.ndarray]") -> "LayerArena":
@@ -228,7 +232,7 @@ def _accumulate(dest: np.ndarray, src: np.ndarray, scale: float) -> None:
     """``dest += scale * src`` without a temporary for the ±1 fast paths.
 
     ``dest - src`` and ``dest + (-1.0)*src`` are bitwise-identical in IEEE
-    arithmetic, so the fast paths preserve parity with the reference loops.
+    arithmetic, so the fast paths preserve parity with per-layer dict loops.
     """
     if scale == 1.0:
         dest += src
@@ -241,20 +245,3 @@ def _accumulate(dest: np.ndarray, src: np.ndarray, scale: float) -> None:
 def _rebuild_arena(shapes, dtype, flat) -> LayerArena:
     return LayerArena(OrderedDict(shapes), dtype=dtype, _flat=flat)
 
-
-def make_layer_buffers(
-    shapes: Mapping[str, tuple[int, ...]],
-    arena: bool,
-    dtype: "np.dtype | type | str | None" = None,
-) -> "LayerArena | OrderedDict[str, np.ndarray]":
-    """Zeroed per-layer state: an arena, or the dict-of-arrays reference.
-
-    The single switch point every strategy and the tracker build their
-    buffers through — ``arena=False`` reproduces the historical
-    ``zeros_like_layers`` allocation exactly (float64 unless overridden).
-    """
-    if arena:
-        return LayerArena(shapes, dtype=np.float32 if dtype is None else dtype)
-    if dtype is None:
-        return OrderedDict((name, np.zeros(shape)) for name, shape in shapes.items())
-    return OrderedDict((name, np.zeros(shape, dtype=dtype)) for name, shape in shapes.items())

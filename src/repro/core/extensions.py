@@ -98,10 +98,9 @@ class DGSTernGradStrategy(SAMomentumStrategy):
         sparsifier: TopKSparsifier,
         momentum: float,
         seed: int = 0,
-        arena: bool = False,
-        dtype: "np.dtype | type | str | None" = None,
+        dtype: "np.dtype | type | str" = np.float64,
     ) -> None:
-        super().__init__(shapes, sparsifier, momentum, arena=arena, dtype=dtype)
+        super().__init__(shapes, sparsifier, momentum, dtype=dtype)
         self._rng = np.random.default_rng(seed)
 
     def prepare(self, grads: Mapping[str, np.ndarray], lr: float):
@@ -183,8 +182,7 @@ def build_extension_strategy(
     kind: str,
     shapes: Mapping[str, tuple[int, ...]],
     hyper: Hyper,
-    arena: bool = False,
-    arena_dtype: "object | None" = None,
+    dtype: "np.dtype | type | str" = np.float64,
 ) -> WorkerStrategy | None:
     """Factory hook consulted by :func:`repro.core.methods.build_strategy`."""
     if kind == "terngrad":
@@ -198,8 +196,7 @@ def build_extension_strategy(
             shapes,
             TopKSparsifier(hyper.ratio, min_sparse_size=hyper.min_sparse_size),
             hyper.momentum,
-            arena=arena,
-            dtype=arena_dtype,
+            dtype=dtype,
         )
     if kind == "dgs_adaptive":
         from ..compression.adaptive import AdaptiveThresholdSparsifier
@@ -208,8 +205,7 @@ def build_extension_strategy(
             shapes,
             AdaptiveThresholdSparsifier(hyper.ratio, min_sparse_size=hyper.min_sparse_size),
             hyper.momentum,
-            arena=arena,
-            dtype=arena_dtype,
+            dtype=dtype,
         )
     return None
 

@@ -19,6 +19,7 @@ from ..nn.module import Module
 __all__ = [
     "LayerMap",
     "layer_shapes",
+    "parameter_dtype",
     "zeros_like_layers",
     "clone_layers",
     "gradients_of",
@@ -38,6 +39,11 @@ LayerMap = "OrderedDict[str, np.ndarray]"
 
 def layer_shapes(model: Module) -> "OrderedDict[str, tuple[int, ...]]":
     return OrderedDict((name, p.shape) for name, p in model.named_parameters())
+
+
+def parameter_dtype(model: Module) -> np.dtype:
+    """The model's parameter dtype — the dtype its DGS state is held in."""
+    return np.result_type(*(p.data for p in model.parameters()))
 
 
 def zeros_like_layers(shapes: Mapping[str, tuple[int, ...]]) -> "OrderedDict[str, np.ndarray]":

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from ..compression.topk import TopKSparsifier
 from .strategies import (
     DenseStrategy,
@@ -60,32 +62,26 @@ class MethodSpec:
         self,
         shapes: Mapping[str, tuple[int, ...]],
         hyper: Hyper,
-        arena: bool = False,
-        arena_dtype: "object | None" = None,
+        dtype: "np.dtype | type | str" = np.float64,
     ) -> WorkerStrategy:
-        return build_strategy(self.strategy, shapes, hyper, arena=arena, arena_dtype=arena_dtype)
+        return build_strategy(self.strategy, shapes, hyper, dtype=dtype)
 
 
 def build_strategy(
     kind: str,
     shapes: Mapping[str, tuple[int, ...]],
     hyper: Hyper,
-    arena: bool = False,
-    arena_dtype: "object | None" = None,
+    dtype: "np.dtype | type | str" = np.float64,
 ) -> WorkerStrategy:
-    """Instantiate the worker-side strategy named ``kind``.
-
-    ``arena=True`` selects the flat-buffer/workspace hot path (see
-    :mod:`repro.core.arena`); the default is the dict-of-float64 reference.
-    """
+    """Instantiate the worker-side strategy named ``kind``, its state held
+    in ``dtype`` (the trainers pass the model's parameter dtype)."""
     if kind == "dense":
-        return DenseStrategy(shapes, arena=arena, dtype=arena_dtype)
+        return DenseStrategy(shapes, dtype=dtype)
     if kind == "dropping":
         return GradientDroppingStrategy(
             shapes,
             TopKSparsifier(hyper.ratio, min_sparse_size=hyper.min_sparse_size),
-            arena=arena,
-            dtype=arena_dtype,
+            dtype=dtype,
         )
     if kind == "dgc":
         ramp = SparsityRamp(
@@ -100,21 +96,19 @@ def build_strategy(
             ramp=ramp,
             clip_norm=hyper.clip_norm,
             min_sparse_size=hyper.min_sparse_size,
-            arena=arena,
-            dtype=arena_dtype,
+            dtype=dtype,
         )
     if kind == "samomentum":
         return SAMomentumStrategy(
             shapes,
             TopKSparsifier(hyper.ratio, min_sparse_size=hyper.min_sparse_size),
             hyper.momentum,
-            arena=arena,
-            dtype=arena_dtype,
+            dtype=dtype,
         )
     # Extension strategies (§6 future-work combinations) register here.
     from .extensions import build_extension_strategy  # late import: avoids cycle
 
-    strategy = build_extension_strategy(kind, shapes, hyper, arena=arena, arena_dtype=arena_dtype)
+    strategy = build_extension_strategy(kind, shapes, hyper, dtype=dtype)
     if strategy is not None:
         return strategy
     raise ValueError(f"unknown strategy kind {kind!r}")

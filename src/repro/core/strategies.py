@@ -32,7 +32,7 @@ from ..compression.coding import SparseTensor, encode_mask
 from ..compression.topk import TopKSparsifier
 from ..compression.workspace import KernelWorkspace
 from ..optim.clip import clip_by_global_norm
-from .arena import make_layer_buffers
+from .arena import LayerArena
 
 __all__ = [
     "WorkerStrategy",
@@ -49,17 +49,11 @@ UpdateMap = "OrderedDict[str, SparseTensor] | OrderedDict[str, np.ndarray]"
 class WorkerStrategy(ABC):
     """Transforms local gradients into the update message sent upstream.
 
-    Every strategy runs in one of two modes:
-
-    * ``arena=False`` (reference, the default for direct construction):
-      state buffers are a dict of independent float64 arrays and the
-      kernels allocate per call — the historical behaviour, kept as the
-      baseline the property tests compare against;
-    * ``arena=True`` (the hot path, default via ``RunConfig``): state
-      lives in a :class:`~repro.core.arena.LayerArena` (float32 unless
-      ``dtype`` overrides) and the selection/encode kernels draw scratch
-      from a per-strategy :class:`KernelWorkspace`.  Selection and
-      arithmetic are bitwise-identical to the reference at equal dtype.
+    State (residuals, momenta) lives in :class:`~repro.core.arena.LayerArena`
+    buffers of ``dtype`` and the selection/encode kernels draw scratch from
+    a per-strategy :class:`KernelWorkspace`.  The trainers pass the model's
+    parameter dtype; direct construction defaults to float64, the
+    reference the exactness tests compare against.
     """
 
     #: whether :meth:`prepare` returns sparse (COO) or dense layers
@@ -68,21 +62,19 @@ class WorkerStrategy(ABC):
     def __init__(
         self,
         shapes: Mapping[str, tuple[int, ...]],
-        arena: bool = False,
-        dtype: "np.dtype | type | str | None" = None,
+        dtype: "np.dtype | type | str" = np.float64,
     ) -> None:
         self.shapes = OrderedDict(shapes)
-        self.arena = bool(arena)
-        self.dtype = dtype
+        self.dtype = np.dtype(dtype)
         #: single-threaded scratch pool; one per strategy (see workspace.py)
-        self.workspace: "KernelWorkspace | None" = KernelWorkspace() if self.arena else None
+        self.workspace = KernelWorkspace()
 
-    def _make_buffers(self):
-        """Zeroed per-layer state in this strategy's chosen representation."""
-        return make_layer_buffers(self.shapes, self.arena, self.dtype)
+    def _make_buffers(self) -> LayerArena:
+        """Zeroed per-layer state in this strategy's dtype."""
+        return LayerArena(self.shapes, dtype=self.dtype)
 
     def _select(self, sparsifier: Sparsifier, arr: np.ndarray) -> SparseTensor:
-        """Fused select on the arena path; mask+encode reference otherwise.
+        """Fused select where the sparsifier has one, else mask + encode.
 
         Both routes pick the identical entry set (same argpartition over
         the same magnitudes) — only the allocation behaviour differs.
@@ -107,7 +99,7 @@ class WorkerStrategy(ABC):
 
     # ------------------------------------------------------------------
     # Checkpointing: subclasses expose their named buffers here.
-    def _buffers(self) -> "dict[str, OrderedDict[str, np.ndarray]]":
+    def _buffers(self) -> "dict[str, LayerArena]":
         return {}
 
     def state_dict(self) -> "dict[str, np.ndarray]":
@@ -133,17 +125,14 @@ class DenseStrategy(WorkerStrategy):
     def __init__(
         self,
         shapes: Mapping[str, tuple[int, ...]],
-        arena: bool = False,
-        dtype: "np.dtype | type | str | None" = None,
+        dtype: "np.dtype | type | str" = np.float64,
     ) -> None:
-        super().__init__(shapes, arena=arena, dtype=dtype)
-        # Arena mode reuses one output arena across iterations (valid until
-        # the next prepare(); safe under the strict request→reply cycle).
-        self._out = self._make_buffers() if self.arena else None
+        super().__init__(shapes, dtype=dtype)
+        # One output arena reused across iterations (valid until the next
+        # prepare(); safe under the strict request→reply cycle).
+        self._out = self._make_buffers()
 
-    def prepare(self, grads: Mapping[str, np.ndarray], lr: float) -> "OrderedDict[str, np.ndarray]":
-        if self._out is None:
-            return OrderedDict((name, lr * g) for name, g in grads.items())
+    def prepare(self, grads: Mapping[str, np.ndarray], lr: float) -> LayerArena:
         for name, g in grads.items():
             np.multiply(g, lr, out=self._out[name])
         return self._out
@@ -161,31 +150,22 @@ class GradientDroppingStrategy(WorkerStrategy):
         self,
         shapes: Mapping[str, tuple[int, ...]],
         sparsifier: Sparsifier,
-        arena: bool = False,
-        dtype: "np.dtype | type | str | None" = None,
+        dtype: "np.dtype | type | str" = np.float64,
     ) -> None:
-        super().__init__(shapes, arena=arena, dtype=dtype)
+        super().__init__(shapes, dtype=dtype)
         self.sparsifier = sparsifier
         self.residual = self._make_buffers()
 
     def prepare(self, grads: Mapping[str, np.ndarray], lr: float) -> "OrderedDict[str, SparseTensor]":
         out: OrderedDict[str, SparseTensor] = OrderedDict()
-        if self.arena:
-            for name, g in grads.items():
-                r = self.residual[name]
-                r += lr * g
-                st = self._select(self.sparsifier, r)
-                out[name] = st
-                # Zero the sent coordinates through the fused tensor's
-                # indices — the same set r[mask] = 0.0 would clear.
-                r.reshape(-1)[st.indices] = 0.0
-            return out
         for name, g in grads.items():
             r = self.residual[name]
             r += lr * g
-            mask = self.sparsifier.mask(r)
-            out[name] = encode_mask(r, mask)
-            r[mask] = 0.0
+            st = self._select(self.sparsifier, r)
+            out[name] = st
+            # Zero the sent coordinates through the encoded tensor's
+            # indices — the same set r[mask] = 0.0 would clear.
+            r.reshape(-1)[st.indices] = 0.0
         return out
 
     def state_bytes(self) -> int:
@@ -247,10 +227,9 @@ class DGCStrategy(WorkerStrategy):
         ramp: SparsityRamp | None = None,
         clip_norm: float | None = None,
         min_sparse_size: int = 256,
-        arena: bool = False,
-        dtype: "np.dtype | type | str | None" = None,
+        dtype: "np.dtype | type | str" = np.float64,
     ) -> None:
-        super().__init__(shapes, arena=arena, dtype=dtype)
+        super().__init__(shapes, dtype=dtype)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.ratio = ratio
@@ -272,30 +251,18 @@ class DGCStrategy(WorkerStrategy):
             clip_by_global_norm(list(grads.values()), self.clip_norm)
         sparsifier = self._current_sparsifier()
         out: OrderedDict[str, SparseTensor] = OrderedDict()
-        if self.arena:
-            # Fused decay across all layers (layers are independent, so one
-            # whole-buffer multiply matches the per-layer u *= m exactly).
-            self.u.flat *= self.momentum
-            for name, g in grads.items():
-                u, v = self.u[name], self.v[name]
-                u += lr * g  # momentum correction: velocity, not raw gradient
-                v += u
-                st = self._select(sparsifier, v)
-                out[name] = st
-                idx = st.indices
-                v.reshape(-1)[idx] = 0.0
-                u.reshape(-1)[idx] = 0.0  # momentum factor masking
-            self.iteration += 1
-            return out
+        # Fused decay across all layers (layers are independent, so one
+        # whole-buffer multiply matches the per-layer u *= m exactly).
+        self.u.flat *= self.momentum
         for name, g in grads.items():
             u, v = self.u[name], self.v[name]
-            u *= self.momentum
             u += lr * g  # momentum correction: velocity, not raw gradient
             v += u
-            mask = sparsifier.mask(v)
-            out[name] = encode_mask(v, mask)
-            v[mask] = 0.0
-            u[mask] = 0.0  # momentum factor masking
+            st = self._select(sparsifier, v)
+            out[name] = st
+            idx = st.indices
+            v.reshape(-1)[idx] = 0.0
+            u.reshape(-1)[idx] = 0.0  # momentum factor masking
         self.iteration += 1
         return out
 
@@ -328,10 +295,9 @@ class SAMomentumStrategy(WorkerStrategy):
         shapes: Mapping[str, tuple[int, ...]],
         sparsifier: Sparsifier,
         momentum: float,
-        arena: bool = False,
-        dtype: "np.dtype | type | str | None" = None,
+        dtype: "np.dtype | type | str" = np.float64,
     ) -> None:
-        super().__init__(shapes, arena=arena, dtype=dtype)
+        super().__init__(shapes, dtype=dtype)
         if not 0.0 < momentum < 1.0:
             raise ValueError(f"SAMomentum requires momentum in (0, 1), got {momentum}")
         self.sparsifier = sparsifier
@@ -341,31 +307,22 @@ class SAMomentumStrategy(WorkerStrategy):
     def prepare(self, grads: Mapping[str, np.ndarray], lr: float) -> "OrderedDict[str, SparseTensor]":
         m = self.momentum
         out: OrderedDict[str, SparseTensor] = OrderedDict()
-        if self.arena:
-            ws = self.workspace
-            for name, g in grads.items():
-                u = self.u[name]
-                u *= m
-                u += lr * g
-                st = self._select(self.sparsifier, u)
-                out[name] = st
-                # Eq. 15 rescale without the boolean mask: save the sent
-                # values, divide the whole layer by m, restore the sent
-                # coordinates — bitwise the where=~mask division.
-                flat = u.reshape(-1)
-                sent = ws.scratch("sam.sent", st.nnz, flat.dtype)
-                np.take(flat, st.indices, out=sent)
-                flat /= m
-                flat[st.indices] = sent
-            return out
+        ws = self.workspace
         for name, g in grads.items():
             u = self.u[name]
             u *= m
             u += lr * g
-            mask = self.sparsifier.mask(u)
-            out[name] = encode_mask(u, mask)
-            # Rescale the unsent remainder by 1/m (Eq. 15, lower branch).
-            np.divide(u, m, out=u, where=~mask)
+            st = self._select(self.sparsifier, u)
+            out[name] = st
+            # Rescale the unsent remainder by 1/m (Eq. 15, lower branch)
+            # without a boolean mask: save the sent values, divide the
+            # whole layer by m, restore the sent coordinates — bitwise the
+            # where=~mask division.
+            flat = u.reshape(-1)
+            sent = ws.scratch("sam.sent", st.nnz, flat.dtype)
+            np.take(flat, st.indices, out=sent)
+            flat /= m
+            flat[st.indices] = sent
         return out
 
     def state_bytes(self) -> int:

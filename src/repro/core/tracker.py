@@ -25,7 +25,7 @@ import numpy as np
 from ..compression.base import Sparsifier
 from ..compression.coding import SparseTensor, encode_best, encode_mask
 from ..compression.workspace import KernelWorkspace
-from .arena import LayerArena, make_layer_buffers
+from .arena import LayerArena
 
 __all__ = ["ModelDifferenceTracker"]
 
@@ -33,13 +33,13 @@ __all__ = ["ModelDifferenceTracker"]
 class ModelDifferenceTracker:
     """Server state for dual-way sparsification (M, per-worker v_k).
 
-    ``arena=True`` stores M and every v_k as
-    :class:`~repro.core.arena.LayerArena` buffers (float32 unless ``dtype``
-    overrides): applying an update or advancing v_k becomes one fused op
-    over the flat buffer — shortening the server's lock hold — and the
+    M and every v_k are :class:`~repro.core.arena.LayerArena` buffers of
+    ``dtype``: applying an update or advancing v_k is one fused op over the
+    flat buffer — shortening the server's lock hold — and the
     model-difference encode draws scratch from a tracker-owned
-    :class:`KernelWorkspace`.  ``arena=False`` is the dict-of-float64
-    reference path, bitwise-identical at equal dtype.
+    :class:`KernelWorkspace`.  The server passes θ0's dtype; direct
+    construction defaults to float64, the reference the exactness tests
+    compare against.
     """
 
     def __init__(
@@ -48,8 +48,7 @@ class ModelDifferenceTracker:
         num_workers: int,
         secondary: Sparsifier | None = None,
         track_differences: bool = True,
-        arena: bool = False,
-        dtype: "np.dtype | type | str | None" = None,
+        dtype: "np.dtype | type | str" = np.float64,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -57,23 +56,19 @@ class ModelDifferenceTracker:
         self.num_workers = num_workers
         self.secondary = secondary
         self.track_differences = track_differences
-        self.arena = bool(arena)
-        #: construction-time dtype request, reused when a late joiner's
-        #: v_k buffer is grown (the new buffer must match the old ones)
-        self.buffer_dtype = dtype
-        self.workspace: "KernelWorkspace | None" = KernelWorkspace() if self.arena else None
-        self.M = make_layer_buffers(self.shapes, self.arena, dtype)
+        #: state dtype of M and every v_k (a late joiner's v_k matches it)
+        self.dtype = np.dtype(dtype)
+        self.workspace = KernelWorkspace()
+        self.M = LayerArena(self.shapes, dtype=self.dtype)
         # v_k buffers exist only under difference tracking — vanilla ASGD
         # downloads the whole model and pays no per-worker server memory.
         self.v = [
-            make_layer_buffers(self.shapes, self.arena, dtype)
+            LayerArena(self.shapes, dtype=self.dtype)
             for _ in range(num_workers if track_differences else 0)
         ]
-        # Reused scratch arena for M − v_k (arena mode only; overwritten on
-        # every model_difference call, never escapes the tracker).
-        self._diff: "LayerArena | None" = (
-            LayerArena(self.shapes, dtype=self.M.dtype) if self.arena else None
-        )
+        # Reused scratch arena for M − v_k (overwritten on every
+        # model_difference call, never escapes the tracker).
+        self._diff = LayerArena(self.shapes, dtype=self.dtype)
         #: server timestamp t — incremented once per applied update (Table 1)
         self.t = 0
         #: prev(k): server timestamp of worker k's last download (Table 1)
@@ -82,20 +77,9 @@ class ModelDifferenceTracker:
     # ------------------------------------------------------------------
     def apply_update(self, update: "Mapping[str, SparseTensor] | Mapping[str, np.ndarray]") -> int:
         """``M ← M − g`` (Eq. 1).  Returns the new server timestamp."""
-        if self.arena:
-            # One fused op for same-layout dense arenas; COO scatter /
-            # to_dense fallbacks otherwise — same arithmetic either way.
-            self.M.add_payload(update, scale=-1.0)
-            self.t += 1
-            return self.t
-        for name, g in update.items():
-            dest = self.M[name]
-            if isinstance(g, SparseTensor):
-                dest.reshape(-1)[g.indices] -= g.values
-            elif hasattr(g, "to_dense"):  # quantised payloads (extensions)
-                dest -= g.to_dense()
-            else:
-                dest -= g
+        # One fused op for same-layout dense arenas; COO scatter /
+        # to_dense per layer otherwise — same arithmetic either way.
+        self.M.add_payload(update, scale=-1.0)
         self.t += 1
         return self.t
 
@@ -108,39 +92,26 @@ class ModelDifferenceTracker:
             raise RuntimeError("model_difference() requires track_differences=True")
         vk = self.v[worker]
         out: OrderedDict[str, SparseTensor] = OrderedDict()
-        if self.arena:
-            # One fused subtraction for the whole difference, then per-layer
-            # encode out of the scratch arena's views.
-            diff = self._diff
-            np.subtract(self.M.flat, vk.flat, out=diff.flat)
-            for name in self.M:
-                d = diff[name]
-                if self.secondary is not None:
-                    sent = self.secondary.select(d, self.workspace)
-                    if sent is None:
-                        sent = encode_mask(d, self.secondary.mask(d), self.workspace)
-                    sent.add_into(vk[name])
-                else:
-                    sent = encode_best(d, self.workspace)
-                out[name] = sent
-            if self.secondary is None:
-                vk.copy_(self.M)  # v_k == M (Eq. 3), one memcpy
-            self.prev[worker] = self.t
-            return out
-        for name, m_layer in self.M.items():
-            diff = m_layer - vk[name]
+        # One fused subtraction for the whole difference, then per-layer
+        # encode out of the scratch arena's views.
+        diff = self._diff
+        np.subtract(self.M.flat, vk.flat, out=diff.flat)
+        for name in self.M:
+            d = diff[name]
             if self.secondary is not None:
-                mask = self.secondary.mask(diff)
-                sent = encode_mask(diff, mask)
+                sent = self.secondary.select(d, self.workspace)
+                if sent is None:
+                    sent = encode_mask(d, self.secondary.mask(d), self.workspace)
                 # v_k advances only by what was actually sent (Eq. 6b) —
                 # the remainder is implicitly accumulated for later.
                 sent.add_into(vk[name])
             else:
                 # G densifies with staleness; pick the cheapest wire format
                 # per layer (COO / bitmap / dense — see encode_best).
-                sent = encode_best(diff)
-                np.copyto(vk[name], m_layer)  # v_k == M (Eq. 3)
+                sent = encode_best(d, self.workspace)
             out[name] = sent
+        if self.secondary is None:
+            vk.copy_(self.M)  # v_k == M (Eq. 3), one memcpy
         self.prev[worker] = self.t
         return out
 
@@ -165,21 +136,16 @@ class ModelDifferenceTracker:
         if worker >= self.num_workers:
             if self.track_differences:
                 self.v.extend(
-                    make_layer_buffers(self.shapes, self.arena, self.buffer_dtype)
+                    LayerArena(self.shapes, dtype=self.dtype)
                     for _ in range(worker + 1 - self.num_workers)
                 )
             self.prev.extend([0] * (worker + 1 - self.num_workers))
             self.num_workers = worker + 1
         if self.track_differences:
-            vk = self.v[worker]
-            if self.arena:
-                vk.copy_(self.M)
-            else:
-                for name, m_layer in self.M.items():
-                    np.copyto(vk[name], m_layer)
+            self.v[worker].copy_(self.M)
         self.prev[worker] = self.t
 
-    def worker_model(self, theta0: Mapping[str, np.ndarray], worker: int) -> "Mapping[str, np.ndarray]":
+    def worker_model(self, theta0: LayerArena, worker: int) -> LayerArena:
         """Materialise the model worker ``k`` holds: θ_0 + v_k (Eq. 3 view).
 
         Without difference tracking (vanilla ASGD) the worker holds the
@@ -188,25 +154,12 @@ class ModelDifferenceTracker:
         """
         if not self.track_differences:
             return self.global_model(theta0)
-        vk = self.v[worker]
-        if (
-            self.arena
-            and isinstance(theta0, LayerArena)
-            and theta0.same_layout(vk)
-        ):
-            return theta0.clone().add_(vk)
-        return OrderedDict((name, theta0[name] + vk[name]) for name in self.M)
+        return theta0.clone().add_(self.v[worker])
 
     # ------------------------------------------------------------------
-    def global_model(self, theta0: Mapping[str, np.ndarray]) -> "Mapping[str, np.ndarray]":
+    def global_model(self, theta0: LayerArena) -> LayerArena:
         """Materialise θ_t = θ_0 + M_t (Eq. 2) — used for evaluation."""
-        if (
-            self.arena
-            and isinstance(theta0, LayerArena)
-            and theta0.same_layout(self.M)
-        ):
-            return theta0.clone().add_(self.M)  # one fused θ0 + M
-        return OrderedDict((name, theta0[name] + self.M[name]) for name in self.M)
+        return theta0.clone().add_(self.M)  # one fused θ0 + M
 
     def state_dict(self) -> "dict[str, np.ndarray]":
         """Snapshot M, every v_k, t, and prev(k) for checkpointing."""
@@ -237,18 +190,19 @@ class ModelDifferenceTracker:
     def flat_state(self) -> "list[np.ndarray]":
         """``[M, v_0, …, v_{K-1}]``, each as one contiguous 1-D array.
 
-        The checkpoint payload: in arena mode these are zero-copy views of
-        the flat backing buffers (the caller copies if it needs isolation);
-        the dict reference path concatenates per layer.  Layer order is
-        ``self.shapes`` order, which both representations share.
+        The checkpoint payload: zero-copy views of the flat backing buffers
+        (the caller copies if it needs isolation), in ``self.shapes`` layer
+        order.
         """
-        return [_flatten_buffers(self.M)] + [_flatten_buffers(vk) for vk in self.v]
+        return [self.M.flat] + [vk.flat for vk in self.v]
 
     def check_flat_state(self, buffers: "list[np.ndarray]") -> None:
         """Raise ``ValueError`` unless :meth:`load_flat_state` accepts
         ``buffers``: a buffer count this tracker can hold and, for every
-        buffer, exactly the element count of :meth:`flat_state`'s.  Reads
-        state only, so a caller can validate every shard before writing any.
+        buffer, exactly the element count and dtype of :meth:`flat_state`'s
+        (a float64 checkpoint is not rounded into float32 state, nor the
+        reverse).  Reads state only, so a caller can validate every shard
+        before writing any.
         """
         if not buffers:
             raise ValueError("flat state needs at least the M buffer")
@@ -259,10 +213,12 @@ class ModelDifferenceTracker:
             raise ValueError(
                 f"checkpoint has {n_v} v_k buffers, tracker has {len(self.v)} workers"
             )
-        size = sum(int(np.prod(shape, dtype=np.int64)) for shape in self.shapes.values())
+        size = self.M.size
         for buf in buffers:
             if buf.size != size:
                 raise ValueError(f"flat buffer has {buf.size} elements, layers hold {size}")
+            if buf.dtype != self.dtype:
+                raise ValueError(f"flat buffer is {buf.dtype}, server state is {self.dtype}")
 
     def load_flat_state(self, buffers: "list[np.ndarray]") -> None:
         """Restore :meth:`flat_state` output (``M`` first, then each v_k).
@@ -275,37 +231,12 @@ class ModelDifferenceTracker:
         self.check_flat_state(buffers)
         if self.track_differences and len(buffers) - 1 > len(self.v):
             self.bootstrap_worker(len(buffers) - 2)  # grow v/prev to checkpoint size
-        _load_flat(self.M, buffers[0])
+        np.copyto(self.M.flat, buffers[0])
         for vk, buf in zip(self.v, buffers[1:]):
-            _load_flat(vk, buf)
+            np.copyto(vk.flat, buf)
 
     def server_state_bytes(self) -> int:
         """Memory held by M plus every v_k (the §5.6.2 accounting:
         ``NumOfWorkers × ParameterMemOfModel`` for the v's, + one M)."""
-        m_bytes = sum(arr.nbytes for arr in self.M.values())
-        v_bytes = sum(sum(arr.nbytes for arr in vk.values()) for vk in self.v)
-        return m_bytes + v_bytes
+        return self.M.nbytes + sum(vk.nbytes for vk in self.v)
 
-
-def _flatten_buffers(buffers: "LayerArena | Mapping[str, np.ndarray]") -> np.ndarray:
-    """One contiguous 1-D view/copy of a layer buffer set (shapes order)."""
-    if isinstance(buffers, LayerArena):
-        return buffers.flat  # already one contiguous buffer: zero copy
-    return np.concatenate([arr.reshape(-1) for arr in buffers.values()])
-
-
-def _load_flat(buffers: "LayerArena | Mapping[str, np.ndarray]", flat: np.ndarray) -> None:
-    """Scatter one contiguous 1-D array back into a layer buffer set."""
-    if isinstance(buffers, LayerArena):
-        if flat.size != buffers.flat.size:
-            raise ValueError(
-                f"flat buffer has {flat.size} elements, arena holds {buffers.flat.size}"
-            )
-        np.copyto(buffers.flat, flat)
-        return
-    offset = 0
-    for arr in buffers.values():
-        np.copyto(arr, flat[offset : offset + arr.size].reshape(arr.shape))
-        offset += arr.size
-    if offset != flat.size:
-        raise ValueError(f"flat buffer has {flat.size} elements, layers hold {offset}")

@@ -79,8 +79,6 @@ class ThreadedBackend(_BackendBase):
             seed=config.seed,
             tracer=config.tracer,
             wire_fidelity=config.wire_fidelity,
-            arena=config.arena,
-            arena_dtype=config.arena_dtype,
             register=config.register,
             checkpoint_every=config.checkpoint_every,
             checkpoint_path=config.checkpoint_path,
@@ -113,8 +111,6 @@ class ProcessBackend(_BackendBase):
             seed=config.seed,
             fail_at=config.fail_at,
             tracer=config.tracer,
-            arena=config.arena,
-            arena_dtype=config.arena_dtype,
         )
 
 
@@ -156,8 +152,6 @@ class SocketBackend(_BackendBase):
             restore_from=config.restore_from,
             bind=config.bind,
             tracer=config.tracer,
-            arena=config.arena,
-            arena_dtype=config.arena_dtype,
         )
 
 
@@ -193,8 +187,6 @@ class SimulatedBackend(_BackendBase):
             logger=config.logger,
             tracer=config.tracer,
             seed=config.seed,
-            arena=config.arena,
-            arena_dtype=config.arena_dtype,
         )
 
 
@@ -231,8 +223,6 @@ class SyncBackend(_BackendBase):
             hyper=config.hyper,
             schedule=config.schedule,
             seed=config.seed,
-            arena=config.arena,
-            arena_dtype=config.arena_dtype,
         )
 
 

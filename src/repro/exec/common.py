@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from ..core.layerops import assign_parameters, layer_shapes
+from ..core.layerops import assign_parameters, layer_shapes, parameter_dtype
 from ..core.methods import Hyper, MethodSpec, get_method
 from ..data.loader import DataLoader
 from ..data.synthetic import Dataset
@@ -79,15 +79,15 @@ def build_server(
     hyper: Hyper,
     secondary_compression: "bool | None" = None,
     staleness_damping: bool = False,
-    arena: bool = False,
-    arena_dtype: "object | None" = None,
     num_shards: int = 1,
+    arena: bool = True,
 ) -> "ParameterServer":
     """A parameter server configured for ``method``'s downstream mode,
     its layers partitioned across ``num_shards`` independently locked
-    shards (one by default)."""
+    shards (one by default).  Its state is held in θ0's dtype."""
     from ..ps.server import ParameterServer
 
+    _require_arena(arena)
     return ParameterServer(
         theta0,
         num_workers,
@@ -96,9 +96,16 @@ def build_server(
         secondary_ratio=secondary_ratio_for(method, hyper, secondary_compression),
         secondary_min_sparse_size=hyper.min_sparse_size,
         staleness_damping=staleness_damping,
-        arena=arena,
-        arena_dtype=arena_dtype,
     )
+
+
+def _require_arena(arena: bool) -> None:
+    # ``arena`` survives on build_server/build_workers only because the
+    # step benchmark's lockstep runner (stepbench/tracing.py) still passes
+    # ``arena=True``; LayerArena is the only state type, so False is an
+    # error rather than a silent no-op.
+    if not arena:
+        raise ValueError("arena=False is gone: LayerArena is the only layer-state type")
 
 
 def build_worker(
@@ -110,10 +117,9 @@ def build_worker(
     hyper: Hyper,
     schedule: Schedule,
     theta0: "Mapping[str, np.ndarray] | None" = None,
-    arena: bool = False,
-    arena_dtype: "object | None" = None,
 ) -> "WorkerNode":
-    """One worker node on ``model``, optionally re-seeded to θ0."""
+    """One worker node on ``model``, optionally re-seeded to θ0; its
+    strategy state is held in the model's parameter dtype."""
     from ..ps.worker import WorkerNode
 
     if theta0 is not None:
@@ -124,7 +130,7 @@ def build_worker(
         worker_id,
         model,
         loader.worker_iterator(worker_id, num_workers),
-        method.make_strategy(shapes, hyper, arena=arena, arena_dtype=arena_dtype),
+        method.make_strategy(shapes, hyper, dtype=parameter_dtype(model)),
         schedule=schedule,
     )
 
@@ -138,14 +144,14 @@ def build_workers(
     schedule: Schedule,
     theta0: "Mapping[str, np.ndarray]",
     first_model: "Module | None" = None,
-    arena: bool = False,
-    arena_dtype: "object | None" = None,
+    arena: bool = True,
 ) -> "list[WorkerNode]":
     """Stamp out ``num_workers`` replicas, all starting from θ0.
 
     ``first_model`` lets a caller donate an already-built model as worker
     0's replica (the simulator reuses its reference model this way).
     """
+    _require_arena(arena)
     workers: list[WorkerNode] = []
     for w in range(num_workers):
         model = first_model if (w == 0 and first_model is not None) else model_factory()
@@ -159,8 +165,6 @@ def build_workers(
                 hyper,
                 schedule,
                 theta0=theta0,
-                arena=arena,
-                arena_dtype=arena_dtype,
             )
         )
     return workers

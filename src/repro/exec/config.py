@@ -64,14 +64,6 @@ class RunConfig:
     #: comm layer's crash path — the run returns a partial result with the
     #: crash recorded in ``TrainResult.errors``.
     fail_at: "dict[int, int] | None" = None
-    #: flat-buffer parameter arenas + allocation-free kernels (the hot
-    #: path; see docs/performance.md).  False reruns the dict-of-float64
-    #: reference implementation the property tests compare against.
-    arena: bool = True
-    #: arena buffer dtype; None ⇒ float32 (the wire dtype).  Pass
-    #: ``"float64"`` to make the arena path bitwise-identical to the
-    #: reference path (used by the parity tests).
-    arena_dtype: "str | None" = None
     #: threaded backend only: round-trip every frame through the byte codec
     #: (float32 wire precision), matching what the process backend ships
     #: over real pipes — at thread speed
@@ -153,8 +145,6 @@ class RunConfig:
             "secondary_compression": self.secondary_compression,
             "staleness_damping": self.staleness_damping,
             "num_shards": self.num_shards,
-            "arena": self.arena,
-            "arena_dtype": self.arena_dtype,
             "wire_fidelity": self.wire_fidelity,
             "eval_every": self.eval_every,
             "record_trace": self.record_trace,

@@ -3,9 +3,7 @@
 Every backend — real threads, real processes, the event-driven simulator
 and the synchronous barrier reference — returns one :class:`TrainResult`.
 The schema is the superset of what the four engines historically reported
-(``ThreadedResult`` / ``ProcessResult`` / ``SimResult`` / ``SyncResult``,
-which are now aliases of this class), with explicit *not measured*
-semantics:
+in their own result classes, with explicit *not measured* semantics:
 
 * ``None`` — the backend cannot measure the quantity at all (e.g. the
   process backend cannot see worker-side strategy buffers of a crashed
@@ -145,12 +143,12 @@ class TrainResult:
     # -- legacy aliases (pre-unification result field names) ---------------
     @property
     def server_timestamp(self) -> int:
-        """Alias of ``total_iterations`` (``ThreadedResult``/``ProcessResult``)."""
+        """Alias of ``total_iterations`` (the threaded/process field name)."""
         return self.total_iterations
 
     @property
     def loss_curve(self) -> Curve:
-        """Alias of ``loss_vs_step`` (``ThreadedResult``/``ProcessResult``)."""
+        """Alias of ``loss_vs_step`` (the threaded/process field name)."""
         return self.loss_vs_step
 
 

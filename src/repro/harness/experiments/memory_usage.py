@@ -11,7 +11,7 @@ to the server.
 from __future__ import annotations
 
 from ...core.methods import Hyper, get_method
-from ...core.layerops import parameters_of
+from ...core.layerops import parameter_dtype, parameters_of
 from ...ps.server import ParameterServer
 from ..config import RESNET18_WIRE_BYTES, get_workload
 from ..report import ExperimentReport
@@ -26,6 +26,9 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)) -> ExperimentRe
     model = wl.model_factory(0)()
     theta0 = parameters_of(model)
     shapes = {n: a.shape for n, a in theta0.items()}
+    # Server and worker state are held in the model's dtype, so one model
+    # unit is θ0's byte size at that dtype.
+    dtype = parameter_dtype(model)
     model_bytes = sum(a.nbytes for a in theta0.values())
     hyper = wl.hyper
     num_workers = 8
@@ -48,7 +51,7 @@ def run(fast: bool | None = None, seeds: tuple[int, ...] = (0,)) -> ExperimentRe
             downstream=spec.downstream,
             secondary_ratio=None,
         )
-        strategy = spec.make_strategy(shapes, hyper)
+        strategy = spec.make_strategy(shapes, hyper, dtype=dtype)
         tracked = sum(shard.tracker.server_state_bytes() for shard in server.shards)
         server_units = tracked / model_bytes
         worker_units = strategy.state_bytes() / model_bytes

@@ -333,7 +333,7 @@ def to_prometheus(snapshot: "Sequence[Mapping[str, Any]]") -> str:
 # Legacy TraceEvent adapter
 # ----------------------------------------------------------------------
 def spans_from_trace_events(trace: "Sequence[Any]") -> "list[dict[str, Any]]":
-    """Unify ``SimResult.trace`` (:class:`TraceEvent`) into span records.
+    """Unify ``TrainResult.trace`` (:class:`TraceEvent`) into span records.
 
     Emits the same names/categories the simulator's live tracer wiring
     uses, so converted legacy traces and traced runs render identically.

@@ -91,9 +91,9 @@ def _patch_compression(patches: _PatchSet) -> None:
     from ..core import strategies as core_strategies
 
     patches.patch_everywhere([TopKSparsifier], "mask", "compression.topk.mask", "compression")
-    # The arena hot path takes the fused select() kernel instead of
-    # mask()+encode_mask(); hook it too or traced arena runs (the default)
-    # lose the whole compression category.
+    # Strategies and the tracker take the fused select() kernel instead of
+    # mask()+encode_mask() where the sparsifier has one; hook it too or
+    # traced runs lose the whole compression category.
     patches.patch_everywhere([TopKSparsifier], "select", "compression.topk.select", "compression")
     patches.patch_everywhere(
         [AdaptiveThresholdSparsifier], "mask", "compression.adaptive.mask", "compression"

@@ -10,17 +10,16 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import decode_message, encode_message
 from .membership import WorkerDirectory
 from .messages import DiffMessage, GradientMessage, ModelMessage, payload_dense_nbytes, payload_nbytes
-from .process import ProcessResult, ProcessTrainer
+from .process import ProcessTrainer
 from .server import ParameterServer, ParameterShard
 from .socket import SocketTrainer
-from .threaded import ThreadedResult, ThreadedTrainer
+from .threaded import ThreadedTrainer
 from .worker import WorkerNode
 
 __all__ = [
     "encode_message",
     "decode_message",
     "ProcessTrainer",
-    "ProcessResult",
     "GradientMessage",
     "DiffMessage",
     "ModelMessage",
@@ -32,7 +31,6 @@ __all__ = [
     "WorkerDirectory",
     "WorkerNode",
     "ThreadedTrainer",
-    "ThreadedResult",
     "save_checkpoint",
     "load_checkpoint",
 ]

@@ -13,9 +13,8 @@ File format (little-endian)::
 One header entry per server shard.  The body is exactly the
 concatenation of each shard's
 :meth:`~repro.core.tracker.ModelDifferenceTracker.flat_state` buffers —
-in arena mode these *are* the flat backing vectors, so a checkpoint is a
-handful of contiguous ``tobytes()``/``frombuffer`` calls, not a per-layer
-walk.  Snapshots are taken under the shard locks
+the flat backing vectors of its arenas, so a checkpoint is a handful of
+contiguous ``tobytes()``/``frombuffer`` calls, not a per-layer walk.  Snapshots are taken under the shard locks
 (:meth:`~repro.ps.server.ParameterServer.checkpoint_state` copies out);
 file I/O happens outside any lock.  Writes go through a same-directory
 temp file and ``os.replace`` so a crash mid-write never leaves a torn

@@ -56,10 +56,7 @@ from ..obs.span import relabel_records
 from ..obs.tracer import Tracer, current_tracer, use_tracer
 from ..optim.schedules import Schedule
 
-__all__ = ["ProcessTrainer", "ProcessResult"]
-
-#: deprecated alias — the process engine now returns the unified schema
-ProcessResult = TrainResult
+__all__ = ["ProcessTrainer"]
 
 #: exit code of a hard-crashed (fail_at) worker — never a normal exit
 _CRASH_EXIT_CODE = 17
@@ -79,8 +76,6 @@ def _worker_main(
     schedule: Schedule,
     seed: int,
     fail_at: "int | None",
-    arena: bool = False,
-    arena_dtype: "object | None" = None,
     trace: bool = False,
 ) -> None:
     from ..comm.pipe import PipeChannel  # lazy: comm imports ps
@@ -96,8 +91,6 @@ def _worker_main(
         hyper,
         schedule,
         theta0=theta0,
-        arena=arena,
-        arena_dtype=arena_dtype,
     )
 
     def crash_hook(i: int) -> None:
@@ -142,8 +135,6 @@ class ProcessTrainer:
         seed: int = 0,
         fail_at: "Mapping[int, int] | None" = None,
         tracer: "object | None" = None,
-        arena: bool = False,
-        arena_dtype: "object | None" = None,
     ) -> None:
         self.method = resolve_method(method)
         #: explicit tracer; None ⇒ the ambient repro.obs tracer at run time
@@ -156,8 +147,6 @@ class ProcessTrainer:
         self.batch_size = batch_size
         self.iterations_per_worker = iterations_per_worker
         self.seed = seed
-        self.arena = arena
-        self.arena_dtype = arena_dtype
         #: worker id → local iteration at which that worker hard-crashes
         self.fail_at = dict(fail_at) if fail_at else {}
 
@@ -170,8 +159,6 @@ class ProcessTrainer:
             self.hyper,
             secondary_compression=secondary_compression,
             staleness_damping=staleness_damping,
-            arena=arena,
-            arena_dtype=arena_dtype,
             num_shards=num_shards,
         )
 
@@ -203,8 +190,6 @@ class ProcessTrainer:
                     self.schedule,
                     self.seed,
                     self.fail_at.get(w),
-                    self.arena,
-                    self.arena_dtype,
                     trace,
                 ),
                 daemon=True,

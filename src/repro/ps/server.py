@@ -40,6 +40,7 @@ import numpy as np
 from ..compression.base import Sparsifier
 from ..compression.stats import CompressionStats
 from ..compression.topk import TopKSparsifier
+from ..core.arena import LayerArena
 from ..core.layerops import scale_payload
 from ..core.partition import PartitionMap
 from ..core.tracker import ModelDifferenceTracker
@@ -114,23 +115,14 @@ class ParameterShard:
         secondary_ratio: float | None = None,
         secondary_min_sparse_size: int = 256,
         staleness_damping: bool = False,
-        arena: bool = False,
-        arena_dtype: "np.dtype | type | str | None" = None,
         shard: int | None = None,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
         if downstream not in ("difference", "model"):
             raise ValueError(f"downstream must be 'difference' or 'model', got {downstream!r}")
-        if arena:
-            # θ0 as an arena too, so global_model() is one fused θ0 + M.
-            from ..core.arena import LayerArena
-
-            self.theta0 = LayerArena.from_layers(
-                theta0, dtype=np.float32 if arena_dtype is None else arena_dtype
-            )
-        else:
-            self.theta0 = OrderedDict((k, v.copy()) for k, v in theta0.items())
-        shapes = OrderedDict((k, v.shape) for k, v in theta0.items())
+        # θ0 as an arena too, so global_model() is one fused θ0 + M; the
+        # state dtype follows θ0's (float32 for the default engine).
+        self.theta0 = LayerArena.from_layers(theta0)
         secondary: Sparsifier | None = (
             TopKSparsifier(secondary_ratio, min_sparse_size=secondary_min_sparse_size)
             if secondary_ratio is not None
@@ -138,12 +130,11 @@ class ParameterShard:
         )
         self.downstream = downstream
         self.tracker = ModelDifferenceTracker(
-            shapes,
+            self.theta0.shapes,
             num_workers,
             secondary=secondary,
             track_differences=(downstream == "difference"),
-            arena=arena,
-            dtype=arena_dtype,
+            dtype=self.theta0.dtype,
         )
         #: contention telemetry: how long handle() waited for the lock vs
         #: how long it held it — the HOGWILD bottleneck signal (seconds).
@@ -167,9 +158,7 @@ class ParameterShard:
         #: server memory (M + all v_k + θ0), fixed at construction — every
         #: buffer is preallocated above, so this is cached once instead of
         #: being recomputed under the lock on each report call.
-        self.state_bytes = self.tracker.server_state_bytes() + sum(
-            a.nbytes for a in self.theta0.values()
-        )
+        self.state_bytes = self.tracker.server_state_bytes() + self.theta0.nbytes
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -280,12 +269,10 @@ class ParameterShard:
             model = self.tracker.global_model(self.theta0)
             t = self.tracker.t
             # v_k buffers may have grown; refresh the cached memory figure.
-            self.state_bytes = self.tracker.server_state_bytes() + sum(
-                a.nbytes for a in self.theta0.values()
-            )
+            self.state_bytes = self.tracker.server_state_bytes() + self.theta0.nbytes
         return ModelMessage(worker_id, model, t, 0)
 
-    def worker_model(self, worker_id: int) -> "Mapping[str, np.ndarray]":
+    def worker_model(self, worker_id: int) -> LayerArena:
         """Materialise the model worker ``k`` holds (θ_0 + v_k) — what a
         restored trainer installs on that worker's replica."""
         with self._lock:
@@ -332,9 +319,7 @@ class ParameterShard:
             self.tracker.num_workers = max(
                 self.tracker.num_workers, len(self.tracker.prev)
             )
-            self.state_bytes = self.tracker.server_state_bytes() + sum(
-                a.nbytes for a in self.theta0.values()
-            )
+            self.state_bytes = self.tracker.server_state_bytes() + self.theta0.nbytes
 
     # ------------------------------------------------------------------
     def raw_staleness(self) -> "dict[int, list[int]]":
@@ -343,7 +328,7 @@ class ParameterShard:
         with self._lock:
             return {w: list(v) for w, v in self.worker_staleness.items()}
 
-    def global_model(self) -> "OrderedDict[str, np.ndarray]":
+    def global_model(self) -> LayerArena:
         """Materialise θ_t = θ_0 + M_t for evaluation (thread-safe)."""
         with self._lock:
             return self.tracker.global_model(self.theta0)

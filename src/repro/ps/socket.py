@@ -80,8 +80,6 @@ def _worker_main(
     fail_at: "int | None",
     join_delay_s: float,
     fast_forward: int,
-    arena: bool,
-    arena_dtype: "object | None",
     trace: bool,
 ) -> None:
     from ..comm.protocol import run_worker_loop  # lazy: comm imports ps
@@ -103,8 +101,6 @@ def _worker_main(
         hyper,
         schedule,
         theta0=None,
-        arena=arena,
-        arena_dtype=arena_dtype,
     )
     # Restored run: burn the batches the pre-checkpoint run consumed so
     # the continued stream picks up exactly where the original left off.
@@ -180,8 +176,6 @@ class SocketTrainer:
         restore_from: "str | None" = None,
         bind: "tuple[str, int] | None" = None,
         tracer: "object | None" = None,
-        arena: bool = False,
-        arena_dtype: "object | None" = None,
     ) -> None:
         if checkpoint_every is not None and checkpoint_path is None:
             raise ValueError("checkpoint_every requires checkpoint_path")
@@ -196,8 +190,6 @@ class SocketTrainer:
         self.batch_size = batch_size
         self.iterations_per_worker = iterations_per_worker
         self.seed = seed
-        self.arena = arena
-        self.arena_dtype = arena_dtype
         #: worker id → local iteration at which that worker hard-crashes
         self.fail_at = dict(fail_at) if fail_at else {}
         #: worker id → seconds to hold back before connecting (mid-run join)
@@ -219,8 +211,6 @@ class SocketTrainer:
             self.hyper,
             secondary_compression=secondary_compression,
             staleness_damping=staleness_damping,
-            arena=arena,
-            arena_dtype=arena_dtype,
             num_shards=num_shards,
         )
         self.membership = WorkerDirectory(self.server)
@@ -267,8 +257,6 @@ class SocketTrainer:
                     self.fail_at.get(w),
                     self.join_delay_s.get(w, 0.0),
                     fast_forward.get(w, 0),
-                    self.arena,
-                    self.arena_dtype,
                     trace,
                 ),
                 daemon=True,

@@ -36,10 +36,7 @@ from ..obs.tracer import NullTracer, Tracer, current_tracer
 from ..optim.schedules import Schedule
 from .worker import WorkerNode
 
-__all__ = ["ThreadedTrainer", "ThreadedResult"]
-
-#: deprecated alias — the threaded engine now returns the unified schema
-ThreadedResult = TrainResult
+__all__ = ["ThreadedTrainer"]
 
 
 class ThreadedTrainer:
@@ -61,8 +58,6 @@ class ThreadedTrainer:
         seed: int = 0,
         tracer: "Tracer | NullTracer | None" = None,
         wire_fidelity: bool = False,
-        arena: bool = False,
-        arena_dtype: "object | None" = None,
         register: bool = False,
         checkpoint_every: "int | None" = None,
         checkpoint_path: "str | None" = None,
@@ -87,8 +82,6 @@ class ThreadedTrainer:
             self.hyper,
             secondary_compression=secondary_compression,
             staleness_damping=staleness_damping,
-            arena=arena,
-            arena_dtype=arena_dtype,
             num_shards=num_shards,
         )
         self.workers: list[WorkerNode] = build_workers(
@@ -99,8 +92,6 @@ class ThreadedTrainer:
             self.hyper,
             self.schedule,
             theta0,
-            arena=arena,
-            arena_dtype=arena_dtype,
         )
 
         self._loss_lock = threading.Lock()

@@ -47,10 +47,7 @@ from ..ps.worker import WorkerNode
 from .cluster import ClusterConfig
 from .network import SharedLink
 
-__all__ = ["SimulatedTrainer", "SimResult", "TraceEvent"]
-
-#: deprecated alias — the simulator now returns the unified schema
-SimResult = TrainResult
+__all__ = ["SimulatedTrainer", "TraceEvent"]
 
 
 @dataclass(frozen=True)
@@ -91,8 +88,6 @@ class SimulatedTrainer:
         logger: "object | None" = None,
         tracer: "Tracer | NullTracer | None" = None,
         seed: int = 0,
-        arena: bool = False,
-        arena_dtype: "object | None" = None,
     ) -> None:
         self.method = resolve_method(method)
         if total_iterations < 1:
@@ -128,8 +123,6 @@ class SimulatedTrainer:
             self.hyper,
             secondary_compression=secondary_compression,
             staleness_damping=staleness_damping,
-            arena=arena,
-            arena_dtype=arena_dtype,
             num_shards=num_shards,
         )
         # Worker 0 reuses the reference model (its BatchNorm statistics
@@ -143,8 +136,6 @@ class SimulatedTrainer:
             self.schedule,
             theta0,
             first_model=ref_model,
-            arena=arena,
-            arena_dtype=arena_dtype,
         )
 
         self.uplink = SharedLink(cluster.uplink)

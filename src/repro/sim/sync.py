@@ -22,15 +22,13 @@ public adapter.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from ..compression.coding import SparseTensor
 from ..compression.stats import CompressionStats
 from ..core.arena import LayerArena
-from ..core.layerops import add_payload, parameters_of
+from ..core.layerops import add_payload, parameter_dtype, parameters_of
 from ..core.methods import Hyper, MethodSpec
 from ..data.loader import DataLoader
 from ..data.synthetic import Dataset
@@ -46,10 +44,7 @@ from ..ps.worker import WorkerNode
 from .cluster import ClusterConfig
 from .network import SharedLink
 
-__all__ = ["SynchronousTrainer", "SyncResult"]
-
-#: deprecated alias — the synchronous engine now returns the unified schema
-SyncResult = TrainResult
+__all__ = ["SynchronousTrainer"]
 
 
 class SynchronousTrainer:
@@ -66,8 +61,6 @@ class SynchronousTrainer:
         hyper: Hyper | None = None,
         schedule: Schedule | None = None,
         seed: int = 0,
-        arena: bool = False,
-        arena_dtype: "object | None" = None,
     ) -> None:
         # SSGD has no server, so single-node methods (e.g. msgd) are allowed.
         self.method = resolve_method(method, require_distributed=False)
@@ -85,21 +78,16 @@ class SynchronousTrainer:
         self.model = model_factory()
         theta0 = parameters_of(self.model)
         shapes = {k: v.shape for k, v in theta0.items()}
-        self.arena = bool(arena)
-        # Reused aggregation buffer for the arena path (zeroed per round).
-        self._agg_arena = (
-            LayerArena(shapes, dtype=np.float32 if arena_dtype is None else arena_dtype)
-            if self.arena
-            else None
-        )
+        # Aggregation buffer and worker state in the model's dtype; the
+        # buffer is reused across rounds (zeroed per round).
+        dtype = parameter_dtype(self.model)
+        self._agg = LayerArena(shapes, dtype=dtype)
         self.workers = [
             WorkerNode(
                 w,
                 self.model,  # all workers share the single global model
                 loader.worker_iterator(w, n),
-                self.method.make_strategy(
-                    shapes, self.hyper, arena=arena, arena_dtype=arena_dtype
-                ),
+                self.method.make_strategy(shapes, self.hyper, dtype=dtype),
                 schedule=self.schedule,
             )
             for w in range(n)
@@ -159,22 +147,9 @@ class SynchronousTrainer:
             # the optimisation work of N sequential steps, which is what
             # makes the barrier comparison against N async updates fair.
             mean_loss = float(np.mean([node.last_loss for node in self.workers]))
-            if self._agg_arena is not None:
-                agg: "Mapping[str, np.ndarray]" = self._agg_arena.zero_()
-                for msg in msgs:
-                    self._agg_arena.add_payload(msg.payload)
-            else:
-                agg = OrderedDict()
-                for name, p in self._params.items():
-                    agg[name] = np.zeros(p.shape)  # the float64 reference
-                for msg in msgs:
-                    for name, layer in msg.payload.items():
-                        if isinstance(layer, SparseTensor):
-                            layer.add_into(agg[name])
-                        elif hasattr(layer, "to_dense"):
-                            agg[name] += layer.to_dense()
-                        else:
-                            agg[name] += layer
+            agg = self._agg.zero_()
+            for msg in msgs:
+                agg.add_payload(msg.payload)
             add_payload(self._params, agg, scale=-1.0)
 
             # 5) Broadcast the dense aggregated update, one transfer/worker.

@@ -1,4 +1,4 @@
-"""LayerArena: layout, aliasing, fused ops, pickling, the buffer switch."""
+"""LayerArena: layout, aliasing, fused ops, pickling, the state dtype."""
 
 import pickle
 from collections import OrderedDict
@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from repro.compression import SparseTensor, encode_sparse
-from repro.core.arena import LayerArena, make_layer_buffers
+from repro.compression import TopKSparsifier
+from repro.core.arena import LayerArena
+from repro.core.strategies import DGCStrategy, SAMomentumStrategy
+from repro.core.tracker import ModelDifferenceTracker
 
 SHAPES = OrderedDict([("w", (3, 4)), ("b", (4,)), ("head", (5,))])
 
@@ -126,18 +129,25 @@ class TestOps:
         assert b.flat[s] == 42.0
 
 
-class TestMakeLayerBuffers:
-    def test_arena_mode(self):
-        buf = make_layer_buffers(SHAPES, arena=True)
-        assert isinstance(buf, LayerArena)
-        assert buf.dtype == np.float32
+class TestStateDtype:
+    """Strategy and tracker state are arenas of one dtype: float64 when
+    built directly (the reference), the caller's dtype otherwise."""
 
-    def test_reference_mode_matches_historical_allocation(self):
-        buf = make_layer_buffers(SHAPES, arena=False)
-        assert isinstance(buf, OrderedDict)
-        assert all(v.dtype == np.float64 and (v == 0).all() for v in buf.values())
+    def _buffers(self, dtype=None):
+        kw = {} if dtype is None else {"dtype": dtype}
+        sam = SAMomentumStrategy(SHAPES, TopKSparsifier(0.5), 0.9, **kw)
+        dgc = DGCStrategy(SHAPES, 0.5, momentum=0.9, **kw)
+        tracker = ModelDifferenceTracker(SHAPES, 2, **kw)
+        return [sam.u, dgc.u, dgc.v, tracker.M, *tracker.v]
 
-    def test_dtype_override(self):
-        assert make_layer_buffers(SHAPES, arena=True, dtype=np.float64).dtype == np.float64
-        ref = make_layer_buffers(SHAPES, arena=False, dtype=np.float32)
-        assert all(v.dtype == np.float32 for v in ref.values())
+    def test_default_is_float64_reference(self):
+        for buf in self._buffers():
+            assert isinstance(buf, LayerArena) and buf.dtype == np.float64
+
+    def test_dtype_argument_sets_every_buffer(self):
+        assert {buf.dtype for buf in self._buffers(np.float32)} == {np.dtype(np.float32)}
+
+    def test_late_joiner_vk_keeps_the_tracker_dtype(self):
+        tracker = ModelDifferenceTracker(SHAPES, 1, dtype=np.float32)
+        tracker.bootstrap_worker(3)
+        assert [vk.dtype for vk in tracker.v] == [np.float32] * 4

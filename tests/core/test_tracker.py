@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.compression import SparseTensor, TopKSparsifier, encode_sparse
+from repro.core.arena import LayerArena
 from repro.core.tracker import ModelDifferenceTracker
 
 SHAPES = OrderedDict([("w", (20,)), ("b", (5,))])
@@ -112,7 +113,7 @@ class TestBookkeeping:
         theta0 = OrderedDict((n, rng.normal(size=s)) for n, s in SHAPES.items())
         upd = sparse_update(rng)
         tr.apply_update(upd)
-        model = tr.global_model(theta0)
+        model = tr.global_model(LayerArena.from_layers(theta0))
         np.testing.assert_allclose(model["w"], theta0["w"] - upd["w"].to_dense())
 
     def test_server_state_bytes(self):

@@ -80,15 +80,6 @@ class TestLegacyAliases:
         r = _valid()
         assert r.loss_curve is r.loss_vs_step
 
-    def test_old_result_names_are_this_class(self):
-        from repro.ps import ProcessResult, ThreadedResult
-        from repro.sim import SimResult, SyncResult
-
-        assert ThreadedResult is TrainResult
-        assert ProcessResult is TrainResult
-        assert SimResult is TrainResult
-        assert SyncResult is TrainResult
-
 
 class TestValidateResult:
     def test_valid_result_is_clean(self):

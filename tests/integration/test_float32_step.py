@@ -37,11 +37,9 @@ def test_dgs_step_stays_float32(case):
     method = resolve_method("dgs")
     hyper = Hyper(lr=0.1, momentum=0.7, ratio=0.1, secondary_ratio=0.1)
     model = make_model()
-    server = build_server(
-        method, parameters_of(model), 1, hyper, secondary_compression=True, arena=True
-    )
+    server = build_server(method, parameters_of(model), 1, hyper, secondary_compression=True)
     node = build_worker(
-        0, 1, model, DataLoader(make_data(), 16, seed=0), method, hyper, ConstantLR(0.1), arena=True
+        0, 1, model, DataLoader(make_data(), 16, seed=0), method, hyper, ConstantLR(0.1)
     )
     with sanitize(expected_dtype=np.float32):  # raises NumericFault at the first drift
         for _ in range(2):

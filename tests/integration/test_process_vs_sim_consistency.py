@@ -45,7 +45,7 @@ class TestSingleWorkerDeterminism:
     def test_sim_single_worker_matches_manual_loop(self, ds, factory):
         """With 1 worker there is no scheduling freedom: the simulated run
         must equal a hand-driven compute→handle→apply loop exactly."""
-        from repro.core.layerops import layer_shapes, parameters_of
+        from repro.core.layerops import layer_shapes, parameter_dtype, parameters_of
         from repro.core.methods import get_method
         from repro.ps.server import ParameterServer
         from repro.ps.worker import WorkerNode
@@ -61,7 +61,7 @@ class TestSingleWorkerDeterminism:
         loader = DataLoader(ds, 16, seed=0)
         node = WorkerNode(
             0, model, loader.worker_iterator(0, 1),
-            get_method("dgs").make_strategy(shapes, HYPER),
+            get_method("dgs").make_strategy(shapes, HYPER, dtype=parameter_dtype(model)),
             schedule=ConstantLR(HYPER.lr),
         )
         for _ in range(30):
@@ -173,7 +173,8 @@ class TestCrossBackendParity:
         """The tentpole invariant: partitioning the server across shards
         must not change the math.  Dense ASGD with one worker at float64
         has no scheduling freedom and no rounding headroom, so sharded
-        threaded ≡ unsharded threaded ≡ simulated — bitwise."""
+        threaded ≡ unsharded threaded ≡ simulated — bitwise.  The float64
+        model puts the server and worker state at float64 too."""
         runs = {}
         for backend, shards in (
             ("threaded", 4),
@@ -183,7 +184,7 @@ class TestCrossBackendParity:
         ):
             config = RunConfig(
                 "asgd",
-                factory,
+                lambda: factory().to(np.float64),
                 ds,
                 num_workers=1,
                 batch_size=16,
@@ -191,13 +192,12 @@ class TestCrossBackendParity:
                 hyper=DENSE_HYPER,
                 seed=0,
                 num_shards=shards,
-                arena=True,
-                arena_dtype="float64",
             )
             trainer = Trainer(config, backend=backend)
             result = trainer.run()
             assert result.num_shards == shards
             runs[(backend, shards)] = dict(trainer.engine.server.global_model())
+            assert {a.dtype for a in runs[(backend, shards)].values()} == {np.dtype(np.float64)}
         reference = runs[("threaded", 1)]
         for key, params in runs.items():
             assert list(params) == list(reference)

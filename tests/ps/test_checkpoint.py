@@ -21,14 +21,14 @@ from repro.ps.messages import GradientMessage
 from repro.ps.threaded import ThreadedTrainer
 
 
-def _server(num_workers=2, arena=False, num_shards=1, method="dgs", out_dim=3):
-    model = MLP(8, (12,), out_dim, seed=4)
+def _server(num_workers=2, num_shards=1, method="dgs", out_dim=3, dtype=np.float32):
+    """A server on a small MLP; its state is held in the model's ``dtype``."""
+    model = MLP(8, (12,), out_dim, seed=4).to(dtype)
     return build_server(
         get_method(method),
         parameters_of(model),
         num_workers,
         Hyper(lr=0.1, momentum=0.7, ratio=0.25, min_sparse_size=0),
-        arena=arena,
         num_shards=num_shards,
     )
 
@@ -47,19 +47,15 @@ def _flat_state(server):
     return [b.copy() for s in server.checkpoint_state()["shards"] for b in s["buffers"]]
 
 
-@pytest.mark.parametrize(
-    "arena,num_shards",
-    [(False, 1), (True, 1), (False, 2), (True, 2)],
-    ids=["dict", "arena", "dict-sharded", "arena-sharded"],
-)
-def test_roundtrip_restores_state_bitwise(tmp_path, arena, num_shards):
-    source = _server(arena=arena, num_shards=num_shards)
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_roundtrip_restores_state_bitwise(tmp_path, num_shards):
+    source = _server(num_shards=num_shards)
     _advance(source, steps=4)
     path = tmp_path / "state.ckpt"
     header = save_checkpoint(source, path)
     assert header["num_shards"] == num_shards
 
-    target = _server(arena=arena, num_shards=num_shards)
+    target = _server(num_shards=num_shards)
     load_checkpoint(target, path)
     assert target.timestamp == source.timestamp
     for got, want in zip(_flat_state(target), _flat_state(source)):
@@ -127,13 +123,21 @@ class TestValidation:
             load_checkpoint(other, path)
 
     @pytest.mark.parametrize("num_shards", [1, 2])
-    @pytest.mark.parametrize("arena", [False, True], ids=["dict", "arena"])
-    def test_rejected_load_leaves_state_untouched(self, tmp_path, arena, num_shards):
-        """A checkpoint of a model with a different output width is refused
-        before any shard is written: θ_t, M / v_k and t stay bitwise."""
+    @pytest.mark.parametrize("mismatch", ["width", "dtype"])
+    def test_rejected_load_leaves_state_untouched(self, tmp_path, mismatch, num_shards):
+        """A checkpoint of a model with a different output width, or of
+        float64 state loaded into a float32 server (which would otherwise
+        be rounded in silently), is refused before any shard is written:
+        θ_t, M / v_k and t stay bitwise."""
         path = tmp_path / "c.ckpt"
-        save_checkpoint(_server(arena=arena, num_shards=num_shards), path)
-        target = _server(arena=arena, num_shards=num_shards, out_dim=5)
+        if mismatch == "width":
+            save_checkpoint(_server(num_shards=num_shards), path)
+            target = _server(num_shards=num_shards, out_dim=5)
+        else:
+            source = _server(num_shards=num_shards, dtype=np.float64)
+            _advance(source, steps=2)
+            save_checkpoint(source, path)
+            target = _server(num_shards=num_shards)
         _advance(target, steps=2)
         model_before = {k: v.copy() for k, v in target.global_model().items()}
         state_before = _flat_state(target)

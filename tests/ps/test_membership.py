@@ -4,14 +4,13 @@ Eq. 5's invariant (without secondary compression ``v_k == M`` after every
 exchange) extends to elastic joins: a worker admitted at server time t
 downloads θ_t = θ_0 + M_t, so everything applied so far has by definition
 been shipped to it — its ``v_k`` must equal ``M_t`` *bitwise*, in every
-server mode (dict / arena, single / sharded), or the next difference
+server mode (single / sharded), or the next difference
 ``G = M − v_k`` it receives double-counts history.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.layerops import parameters_of
 from repro.core.methods import Hyper, get_method
@@ -21,14 +20,13 @@ from repro.ps.membership import WorkerDirectory
 from repro.ps.messages import GradientMessage
 
 
-def _server(num_workers=2, arena=False, num_shards=1, method="dgs"):
+def _server(num_workers=2, num_shards=1, method="dgs"):
     model = MLP(8, (12,), 3, seed=4)
     return build_server(
         get_method(method),
         parameters_of(model),
         num_workers,
         Hyper(lr=0.1, momentum=0.7, ratio=0.25, min_sparse_size=0),
-        arena=arena,
         num_shards=num_shards,
     )
 
@@ -45,18 +43,12 @@ def _advance(server, steps=3, rng_seed=9):
 
 
 def _tracker_v(shard, worker):
-    vk = shard.tracker.v[worker]
-    M = shard.tracker.M
-    if hasattr(M, "flat"):  # arena buffers
-        return np.array(vk.flat), np.array(M.flat)
-    flat = lambda buffers: np.concatenate([np.ravel(b) for b in buffers.values()])
-    return flat(vk), flat(M)
+    return np.array(shard.tracker.v[worker].flat), np.array(shard.tracker.M.flat)
 
 
-@pytest.mark.parametrize("arena", [False, True], ids=["dict", "arena"])
 class TestBootstrapInvariant:
-    def test_new_worker_vk_equals_Mt_bitwise(self, arena):
-        server = _server(num_workers=1, arena=arena)
+    def test_new_worker_vk_equals_Mt_bitwise(self):
+        server = _server(num_workers=1)
         _advance(server)
         msg = server.bootstrap_worker(1)  # grows the worker set
         v, M = _tracker_v(server.shards[0], 1)
@@ -64,17 +56,17 @@ class TestBootstrapInvariant:
         assert msg.worker_id == 1
         assert msg.server_timestamp == server.timestamp
 
-    def test_rebootstrap_refreshes_stale_vk(self, arena):
+    def test_rebootstrap_refreshes_stale_vk(self):
         """Reconnect semantics: re-joining refreshes v_k to the live M."""
-        server = _server(num_workers=2, arena=arena)
+        server = _server(num_workers=2)
         server.bootstrap_worker(1)
         _advance(server)  # moves M; worker 1's v_k is now stale
         server.bootstrap_worker(1)
         v, M = _tracker_v(server.shards[0], 1)
         np.testing.assert_array_equal(v, M)
 
-    def test_bootstrap_reply_model_is_theta_t(self, arena):
-        server = _server(num_workers=1, arena=arena)
+    def test_bootstrap_reply_model_is_theta_t(self):
+        server = _server(num_workers=1)
         _advance(server)
         msg = server.bootstrap_worker(1)
         current = server.global_model()
@@ -84,8 +76,8 @@ class TestBootstrapInvariant:
                 np.asarray(msg.payload[name]), np.asarray(current[name])
             )
 
-    def test_worker_model_after_join_equals_global(self, arena):
-        server = _server(num_workers=1, arena=arena)
+    def test_worker_model_after_join_equals_global(self):
+        server = _server(num_workers=1)
         _advance(server)
         server.bootstrap_worker(1)
         joined, current = server.worker_model(1), server.global_model()
@@ -94,9 +86,8 @@ class TestBootstrapInvariant:
 
 
 class TestShardedBootstrap:
-    @pytest.mark.parametrize("arena", [False, True], ids=["dict", "arena"])
-    def test_every_shard_vk_equals_its_Mt(self, arena):
-        server = _server(num_workers=1, arena=arena, num_shards=2)
+    def test_every_shard_vk_equals_its_Mt(self):
+        server = _server(num_workers=1, num_shards=2)
         _advance(server)
         server.bootstrap_worker(1)
         for shard in server.shards:

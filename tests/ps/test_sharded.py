@@ -18,6 +18,7 @@ import pytest
 from repro.analysis.concurrency import LockRegistry
 from repro.comm.frames import DiffFrame, GradientFrame
 from repro.comm.service import ServerService
+from repro.core.arena import LayerArena
 from repro.core.tracker import ModelDifferenceTracker
 from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer, use_tracer
@@ -50,7 +51,7 @@ def _drive(server, schedule):
 def _oracle(schedule, num_workers=2, downstream="difference"):
     """The bare tracker driven through the same schedule: the reference
     every partition must reproduce.  Returns (θ_t, [(payload, t, staleness)])."""
-    theta0 = _theta0()
+    theta0 = LayerArena.from_layers(_theta0())
     tracker = ModelDifferenceTracker(
         SHAPES, num_workers, track_differences=(downstream == "difference")
     )
@@ -216,13 +217,13 @@ class TestShardRoutingAndLocks:
         assert [shard.timestamp for shard in server.shards] == [1, 1]
 
     def test_each_shard_owns_a_distinct_workspace(self):
-        server = ParameterServer(_theta0(), 1, num_shards=4, arena=True)
+        server = ParameterServer(_theta0(), 1, num_shards=4)
         workspaces = [shard.tracker.workspace for shard in server.shards]
         assert all(ws is not None for ws in workspaces)
         assert len({id(ws) for ws in workspaces}) == len(workspaces)
 
     def test_shard_arena_views_never_alias(self):
-        server = ParameterServer(_theta0(), 1, num_shards=4, arena=True)
+        server = ParameterServer(_theta0(), 1, num_shards=4)
         shard_layers = [
             [np.asarray(shard.theta0[name]) for name in shard.tracker.shapes]
             for shard in server.shards
