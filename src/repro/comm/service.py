@@ -101,6 +101,11 @@ class ServeReport:
     evictions: int = 0
     #: gradient frames applied (drives checkpoint cadence)
     updates: int = 0
+    #: frame bytes through every channel the loop served, summed from each
+    #: channel's transport counters once, when the loop drops it (0 for
+    #: channels without counters, e.g. in-process dispatch)
+    wire_bytes_up: int = 0
+    wire_bytes_down: int = 0
 
 
 def serve_channels(
@@ -154,6 +159,8 @@ def serve_channels(
     def _drop(waitable, channel) -> None:
         open_channels.pop(waitable, None)
         last_seen.pop(waitable, None)
+        report.wire_bytes_up += getattr(channel, "wire_bytes_received", 0)
+        report.wire_bytes_down += getattr(channel, "wire_bytes_sent", 0)
         try:
             channel.close()
         except OSError:
@@ -262,4 +269,6 @@ def serve_channels(
                     membership.deregister(who, reason="evicted")
                 _drop(obj, channel)
                 terminated += 1
+    for obj, channel in list(open_channels.items()):
+        _drop(obj, channel)  # connected beyond ``expected``: count, close
     return report

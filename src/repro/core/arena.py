@@ -55,7 +55,29 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = ["LayerArena"]
+__all__ = ["LayerArena", "check_snapshot"]
+
+
+def check_snapshot(
+    state: "Mapping[str, np.ndarray]", targets: "Mapping[str, np.ndarray]"
+) -> None:
+    """Raise unless ``state`` can be copied into ``targets`` key for key.
+
+    Loaders call this before their first write, so a rejected snapshot
+    leaves their state bitwise untouched: ``state`` must hold exactly
+    ``targets``' keys, and each array its target's shape and dtype (a
+    float64 snapshot is not rounded into float32 state, nor the reverse).
+    """
+    missing = sorted(set(targets) - set(state))
+    extra = sorted(set(state) - set(targets))
+    if missing or extra:
+        raise KeyError(f"snapshot keys differ: missing {missing}, unexpected {extra}")
+    for key, target in targets.items():
+        arr = np.asarray(state[key])
+        if arr.shape != target.shape:
+            raise ValueError(f"snapshot {key!r} has shape {arr.shape}, state holds {target.shape}")
+        if arr.dtype != target.dtype:
+            raise ValueError(f"snapshot {key!r} is {arr.dtype}, state is {target.dtype}")
 
 
 class LayerArena(MappingABC):
@@ -212,6 +234,7 @@ class LayerArena(MappingABC):
         return {name: view.copy() for name, view in self._views.items()}
 
     def load_state_dict(self, state: "Mapping[str, np.ndarray]") -> None:
+        check_snapshot(state, self._views)
         for name, view in self._views.items():
             np.copyto(view, state[name])
 

@@ -32,7 +32,7 @@ from ..compression.coding import SparseTensor, encode_mask
 from ..compression.topk import TopKSparsifier
 from ..compression.workspace import KernelWorkspace
 from ..optim.clip import clip_by_global_norm
-from .arena import LayerArena
+from .arena import LayerArena, check_snapshot
 
 __all__ = [
     "WorkerStrategy",
@@ -111,10 +111,19 @@ class WorkerStrategy(ABC):
         return state
 
     def load_state_dict(self, state: "Mapping[str, np.ndarray]") -> None:
-        """Restore buffers saved by :meth:`state_dict`."""
-        for buf_name, layers in self._buffers().items():
-            for layer_name, arr in layers.items():
-                np.copyto(arr, state[f"{buf_name}/{layer_name}"])
+        """Restore buffers saved by :meth:`state_dict`.
+
+        Keys, shapes and dtypes are all checked before the first write, so
+        a rejected snapshot leaves the strategy untouched.
+        """
+        targets = {
+            f"{buf_name}/{layer_name}": arr
+            for buf_name, layers in self._buffers().items()
+            for layer_name, arr in layers.items()
+        }
+        check_snapshot(state, targets)
+        for key, arr in targets.items():
+            np.copyto(arr, state[key])
 
 
 class DenseStrategy(WorkerStrategy):

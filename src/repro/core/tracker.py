@@ -25,7 +25,7 @@ import numpy as np
 from ..compression.base import Sparsifier
 from ..compression.coding import SparseTensor, encode_best, encode_mask
 from ..compression.workspace import KernelWorkspace
-from .arena import LayerArena
+from .arena import LayerArena, check_snapshot
 
 __all__ = ["ModelDifferenceTracker"]
 
@@ -172,19 +172,25 @@ class ModelDifferenceTracker:
         return state
 
     def load_state_dict(self, state: "Mapping[str, np.ndarray]") -> None:
-        """Restore a snapshot produced by :meth:`state_dict`."""
-        self.t = int(state["t"])
+        """Restore a snapshot produced by :meth:`state_dict`.
+
+        The worker count, keys, shapes and dtypes are all checked before
+        the first write, so a rejected snapshot leaves the tracker untouched.
+        """
+        t = int(state["t"])
         prev = [int(x) for x in np.asarray(state["prev"]).reshape(-1)]
         if len(prev) != self.num_workers:
             raise ValueError(
                 f"checkpoint has {len(prev)} workers, tracker expects {self.num_workers}"
             )
-        self.prev = prev
-        for name, arr in self.M.items():
-            np.copyto(arr, state[f"M/{name}"])
+        targets = {f"M/{name}": arr for name, arr in self.M.items()}
         for k, vk in enumerate(self.v):
-            for name, arr in vk.items():
-                np.copyto(arr, state[f"v{k}/{name}"])
+            targets.update((f"v{k}/{name}", arr) for name, arr in vk.items())
+        check_snapshot({key: state[key] for key in state if key not in ("t", "prev")}, targets)
+        self.t = t
+        self.prev = prev
+        for key, arr in targets.items():
+            np.copyto(arr, state[key])
 
     # ------------------------------------------------------------------
     def flat_state(self) -> "list[np.ndarray]":

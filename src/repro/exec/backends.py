@@ -2,9 +2,9 @@
 
 Each adapter maps the backend-independent :class:`RunConfig` onto one
 engine's native constructor and declares which optional ``TrainResult``
-fields it guarantees to populate.  The engines themselves live where they
-always did (``repro.ps.threaded``, ``repro.ps.process``,
-``repro.ps.socket``, ``repro.sim.engine``, ``repro.sim.sync``); the
+fields it guarantees to populate.  The engines themselves live in
+``repro.ps.threaded``, ``repro.ps.multiprocess`` (both the "process" and
+the "socket" backend), ``repro.sim.engine`` and ``repro.sim.sync``; the
 adapters are the only place that knows their constructor signatures.
 """
 
@@ -16,8 +16,7 @@ from .result import TrainResult
 
 __all__ = [
     "ThreadedBackend",
-    "ProcessBackend",
-    "SocketBackend",
+    "MultiprocessBackend",
     "SimulatedBackend",
     "SyncBackend",
 ]
@@ -86,52 +85,39 @@ class ThreadedBackend(_BackendBase):
         )
 
 
-class ProcessBackend(_BackendBase):
-    """Real OS processes exchanging actual bytes over pipes."""
+class MultiprocessBackend(_BackendBase):
+    """One OS process per worker, actual bytes over a real transport.
 
-    name = "process"
-    clock = "wall"
-    measures = _PS_MEASURES | {"wire_bytes_up", "wire_bytes_down"}
-
-    def create(self, config: RunConfig):
-        from ..ps.process import ProcessTrainer
-
-        return ProcessTrainer(
-            config.method,
-            config.model_factory,
-            config.dataset,
-            num_workers=config.num_workers,
-            batch_size=config.batch_size,
-            iterations_per_worker=config.iterations_per_worker(),
-            hyper=config.hyper,
-            schedule=config.schedule,
-            secondary_compression=config.secondary_compression,
-            staleness_damping=config.staleness_damping,
-            num_shards=config.num_shards,
-            seed=config.seed,
-            fail_at=config.fail_at,
-            tracer=config.tracer,
-        )
-
-
-class SocketBackend(_BackendBase):
-    """Real TCP connections with elastic workers and checkpoint/restore.
-
-    The deployment-shaped backend: the server binds a listener (loopback-
-    ephemeral unless ``config.bind`` says otherwise), forked workers
-    *connect* and register through the membership handshake, stragglers
-    can be evicted (``evict_after_s``), and the server state checkpoints
-    to one contiguous file (``checkpoint_every``/``restore_from``).
+    Registered twice: ``"process"`` runs over pre-wired pipes; ``"socket"``
+    over TCP, where the server binds a listener (loopback-ephemeral unless
+    ``config.bind`` says otherwise), workers *connect* and register through
+    the membership handshake, stragglers can be evicted
+    (``evict_after_s``), and the server state checkpoints to one
+    contiguous file (``checkpoint_every``/``restore_from``).  The TCP-only
+    ``RunConfig`` fields are ignored on ``"process"``.
     """
 
-    name = "socket"
     clock = "wall"
     measures = _PS_MEASURES | {"wire_bytes_up", "wire_bytes_down"}
 
-    def create(self, config: RunConfig):
-        from ..ps.socket import SocketTrainer
+    def __init__(self, name: str, transport: str) -> None:
+        self.name = name
+        self.transport = transport
 
-        return SocketTrainer(
+    def create(self, config: RunConfig):
+        from ..ps.multiprocess import MultiprocessTrainer
+
+        tcp_only = {}
+        if self.transport == "tcp":
+            tcp_only = dict(
+                join_delay_s=config.join_delay_s,
+                evict_after_s=config.evict_after_s,
+                checkpoint_every=config.checkpoint_every,
+                checkpoint_path=config.checkpoint_path,
+                restore_from=config.restore_from,
+                bind=config.bind,
+            )
+        return MultiprocessTrainer(
             config.method,
             config.model_factory,
             config.dataset,
@@ -145,13 +131,9 @@ class SocketBackend(_BackendBase):
             num_shards=config.num_shards,
             seed=config.seed,
             fail_at=config.fail_at,
-            join_delay_s=config.join_delay_s,
-            evict_after_s=config.evict_after_s,
-            checkpoint_every=config.checkpoint_every,
-            checkpoint_path=config.checkpoint_path,
-            restore_from=config.restore_from,
-            bind=config.bind,
             tracer=config.tracer,
+            transport=self.transport,
+            **tcp_only,
         )
 
 
@@ -241,7 +223,7 @@ def _checked_cluster(config: RunConfig):
 
 
 register_backend(ThreadedBackend())
-register_backend(ProcessBackend())
-register_backend(SocketBackend())
+register_backend(MultiprocessBackend("process", "pipe"))
+register_backend(MultiprocessBackend("socket", "tcp"))
 register_backend(SimulatedBackend())
 register_backend(SyncBackend())

@@ -22,6 +22,7 @@ from ..data.synthetic import Dataset
 from ..metrics.evaluation import evaluate_params
 from ..nn.module import Module
 from ..optim.schedules import ConstantLR, Schedule
+from .result import TrainResult
 
 if TYPE_CHECKING:  # imported lazily at call time: repro.ps imports this module
     from ..ps.server import ParameterServer
@@ -36,6 +37,7 @@ __all__ = [
     "build_worker",
     "build_workers",
     "evaluate_global",
+    "server_result",
 ]
 
 
@@ -178,3 +180,30 @@ def evaluate_global(model: Module, server: ParameterServer, dataset: Dataset) ->
     replica (its statistics reflect actual training data).
     """
     return evaluate_params(model, server.global_model(), dataset.x_val, dataset.y_val)
+
+
+def server_result(server: "ParameterServer", **fields: object) -> TrainResult:
+    """A :class:`TrainResult` with every field read off ``server`` filled in.
+
+    The server is the one place the parameter-server backends observe
+    staleness, applied updates, byte accounting and state memory, so those
+    fields are written here once; ``fields`` carries what only the calling
+    trainer knows (method, backend, accuracy, curves, clock, ...).
+    """
+    stats = server.stats
+    staleness = server.staleness_summary()
+    return TrainResult(
+        num_shards=server.num_shards,
+        total_iterations=server.timestamp,
+        mean_staleness=staleness["mean"],
+        staleness_p50=staleness["p50"],
+        staleness_p99=staleness["p99"],
+        worker_staleness=staleness["per_worker"],
+        metrics=server.metrics.snapshot(),
+        upload_bytes=stats.upload_bytes,
+        download_bytes=stats.download_bytes,
+        upload_dense_bytes=stats.upload_dense_bytes,
+        download_dense_bytes=stats.download_dense_bytes,
+        server_state_bytes=server.server_state_bytes(),
+        **fields,
+    )

@@ -1,10 +1,11 @@
 """Backend-independent run description.
 
-One :class:`RunConfig` captures everything any of the four execution
+One :class:`RunConfig` captures everything any of the five execution
 backends needs to set up a distributed training run — the union of what
-the ``ThreadedTrainer`` / ``ProcessTrainer`` / ``SimulatedTrainer`` /
-``SynchronousTrainer`` constructors historically took.  Fields a backend
-does not understand are ignored (and documented as such); the conversions
+the ``ThreadedTrainer`` / ``MultiprocessTrainer`` (the "process" and
+"socket" backends) / ``SimulatedTrainer`` / ``SynchronousTrainer``
+constructors take.  Fields a backend does not understand are ignored
+(and documented as such); the conversions
 between the one global iteration budget and each engine's native knob
 (per-worker iterations, barrier rounds) live here so every backend slices
 the same amount of optimisation work.
@@ -36,8 +37,9 @@ class RunConfig:
     num_workers: int
     batch_size: int
     #: global gradient-computation budget, shared across workers.  Threaded
-    #: and process backends run ``iterations_per_worker()`` each; the sync
-    #: backend runs ``rounds()`` barriers of ``num_workers`` gradients.
+    #: and multi-process (process/socket) backends run
+    #: ``iterations_per_worker()`` each; the sync backend runs ``rounds()``
+    #: barriers of ``num_workers`` gradients.
     total_iterations: int
     hyper: "Hyper | None" = None
     schedule: "Schedule | None" = None
@@ -59,32 +61,36 @@ class RunConfig:
     #: record the per-exchange virtual timeline (simulated backend only)
     record_trace: bool = False
     #: crash injection, worker id → local iteration.  Simulated backend:
-    #: the worker silently stops producing updates.  Process backend: the
-    #: worker process hard-exits mid-run (no close frame), exercising the
-    #: comm layer's crash path — the run returns a partial result with the
+    #: the worker silently stops producing updates.  Process and socket
+    #: backends (one multi-process engine over pipes or TCP): the worker
+    #: process hard-exits mid-run (no close frame), exercising the comm
+    #: layer's crash path — the run returns a partial result with the
     #: crash recorded in ``TrainResult.errors``.
     fail_at: "dict[int, int] | None" = None
     #: threaded backend only: round-trip every frame through the byte codec
-    #: (float32 wire precision), matching what the process backend ships
-    #: over real pipes — at thread speed
+    #: (float32 wire precision), matching what the multi-process backends
+    #: ship over pipes or TCP — at thread speed
     wire_fidelity: bool = False
-    #: per-step telemetry sink, e.g. repro.metrics.RunLogger (simulated only)
+    #: per-step telemetry sink, e.g. repro.obs.ObsLogger (simulated only)
     logger: "object | None" = None
     #: repro.obs tracer; None ⇒ the ambient tracer at run time
     tracer: "object | None" = None
     #: run the elastic-membership join/leave handshake around each worker
-    #: loop (threaded backend; the socket backend always registers)
+    #: loop (threaded backend; socket workers always register, pipe
+    #: workers never do)
     register: bool = False
     #: write a server checkpoint (repro.ps.checkpoint format) every N
     #: applied updates; requires ``checkpoint_path``.  Threaded and socket
-    #: backends only.
+    #: backends only (the multi-process engine's TCP transport; ignored on
+    #: "process").
     checkpoint_every: "int | None" = None
     checkpoint_path: "str | None" = None
     #: restore server state from this checkpoint before training and
     #: fast-forward each worker's data stream by its recorded update count
     restore_from: "str | None" = None
-    #: socket backend: evict a worker silent for this many seconds
-    #: (straggler timeout + per-channel read deadline)
+    #: socket backend (TCP only; ignored on "process"): evict a worker
+    #: silent for this many seconds (straggler timeout + per-channel read
+    #: deadline)
     evict_after_s: "float | None" = None
     #: socket backend: worker id → seconds to delay its connect (mid-run
     #: elastic joins)

@@ -35,7 +35,8 @@ class TrainResult:
 
     #: method registry name ("asgd", "dgs", ...)
     method: str = ""
-    #: backend registry name ("threaded", "process", "simulated", "sync")
+    #: backend registry name ("threaded", "process", "socket",
+    #: "simulated", "sync")
     backend: str = ""
     num_workers: int = 0
     #: parameter-server shards the run actually used (1 = one shard
@@ -75,7 +76,8 @@ class TrainResult:
     #: dense-equivalent bytes for the same exchanges (compression baseline)
     upload_dense_bytes: "int | None" = None
     download_dense_bytes: "int | None" = None
-    #: bytes that crossed a real OS pipe (process backend only)
+    #: frame bytes that crossed a real transport (pipe or TCP; the
+    #: multi-process backends only)
     wire_bytes_up: "int | None" = None
     wire_bytes_down: "int | None" = None
     #: fraction of the makespan the modelled links were busy (virtual only)
@@ -139,17 +141,6 @@ class TrainResult:
         out["throughput"] = self.throughput
         out["compression_ratio"] = self.compression_ratio
         return out
-
-    # -- legacy aliases (pre-unification result field names) ---------------
-    @property
-    def server_timestamp(self) -> int:
-        """Alias of ``total_iterations`` (the threaded/process field name)."""
-        return self.total_iterations
-
-    @property
-    def loss_curve(self) -> Curve:
-        """Alias of ``loss_vs_step`` (the threaded/process field name)."""
-        return self.loss_vs_step
 
 
 def validate_result(

@@ -7,10 +7,12 @@ handled, staleness observed).  Every metric is a labeled series —
 produces plain dicts that serialise straight into the same JSONL stream
 as spans (``type: "metric"`` records, see ``repro.obs.span``).
 
-:class:`ObsLogger` is the run-level JSONL sink.  It subsumes
-:class:`repro.metrics.runlog.RunLogger`'s step records (same
-``log_step`` signature, so trainers accept either), adds span/metric
-records, flushes on write, and closes deterministically.
+:class:`ObsLogger` is the run-level JSONL sink: per-update step records
+(the ``log_step`` call trainers make when given a ``logger``), span and
+metric records in the same stream, flush on write, deterministic close.
+:meth:`ObsLogger.curve` turns any record list — a live logger's
+``records`` or :func:`repro.obs.load_jsonl` output — into a plottable
+:class:`~repro.metrics.curves.Curve`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import json
 import pathlib
 import threading
-from typing import IO, Any, Mapping
+from typing import IO, Any, Iterable, Mapping
+
+from ..metrics.curves import Curve
 
 __all__ = [
     "Counter",
@@ -218,9 +222,9 @@ class MetricsRegistry:
 class ObsLogger:
     """Run-level JSONL sink: steps, spans, and metric snapshots in one file.
 
-    Drop-in for :class:`repro.metrics.runlog.RunLogger` where trainers
-    accept a ``logger`` (same ``log_step`` signature), with flush-on-write
-    so a crashed run still leaves a readable file.
+    Trainers that accept a ``logger`` call :meth:`log_step` once per
+    applied update; every record is flushed on write so a crashed run
+    still leaves a readable file.
     """
 
     def __init__(
@@ -277,6 +281,22 @@ class ObsLogger:
     def steps(self) -> "list[dict[str, Any]]":
         with self._lock:
             return [r for r in self.records if r.get("type") == "step"]
+
+    @staticmethod
+    def curve(
+        records: "Iterable[Mapping[str, Any]]",
+        y: str = "loss",
+        x: str = "step",
+        name: "str | None" = None,
+    ) -> Curve:
+        """Field ``y`` against field ``x`` over the step records in
+        ``records`` (a logger's ``records``, or ``load_jsonl`` output);
+        steps lacking either field are skipped."""
+        c = Curve(name or f"{y}_vs_{x}")
+        for r in records:
+            if r.get("type") == "step" and x in r and y in r:
+                c.add(float(r[x]), float(r[y]))
+        return c
 
     def flush(self) -> None:
         with self._lock:

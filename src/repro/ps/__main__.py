@@ -16,7 +16,9 @@ Workers may start before the server: ``SocketChannel.connect`` retries
 with capped exponential backoff for ``--retry-for`` seconds.  Flags that
 shape the workload (``--method``, ``--iterations``, ``--batch-size``,
 ``--seed``) must match on every side; the demo has no config exchange.
-The programmatic equivalent — forked workers, one process tree — is
+Both sides run the multi-process trainer's own serve and worker functions
+(:func:`repro.ps.multiprocess.serve` / :func:`~repro.ps.multiprocess.run_worker`);
+the programmatic equivalent — forked workers, one process tree — is
 ``repro.exec.train(config, backend="socket")``.
 """
 
@@ -48,13 +50,13 @@ def _parse_endpoint(text: str) -> "tuple[str, int]":
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from ..comm.service import ServerService, serve_channels
     from ..comm.socket import SocketListener
     from ..core.layerops import parameters_of
     from ..exec.common import build_server
     from ..metrics.evaluation import evaluate_params
-    from .checkpoint import load_checkpoint, save_checkpoint
+    from .checkpoint import load_checkpoint
     from .membership import WorkerDirectory
+    from .multiprocess import serve
 
     dataset, model_factory, method, hyper, schedule = _workload(args)
     eval_model = model_factory()
@@ -73,25 +75,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"serving {method.name} on {host}:{port} — waiting for {args.workers} worker(s)",
         file=sys.stderr,
     )
-
-    def on_update(updates: int) -> None:
-        if args.checkpoint_every and updates % args.checkpoint_every == 0:
-            save_checkpoint(server, args.checkpoint)
-
     try:
-        report = serve_channels(
+        report = serve(
+            server,
             [],
-            ServerService(server, membership=membership),
-            stats=server.stats,
-            on_update=on_update if args.checkpoint_every else None,
+            membership=membership,
             listener=listener,
             expected_closes=args.workers,
-            straggler_timeout_s=args.evict_after,
+            evict_after_s=args.evict_after,
+            checkpoint_every=args.checkpoint_every or None,
+            checkpoint_path=args.checkpoint,
         )
     finally:
         listener.close()
     if args.checkpoint_every:
-        save_checkpoint(server, args.checkpoint)
         print(f"checkpoint written to {args.checkpoint}", file=sys.stderr)
 
     acc, loss = evaluate_params(
@@ -109,30 +106,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from ..comm.protocol import run_worker_loop
     from ..comm.socket import SocketChannel
-    from ..data.loader import DataLoader
-    from ..exec.common import build_worker
+    from .multiprocess import run_worker
 
     dataset, model_factory, method, hyper, schedule = _workload(args)
-    loader = DataLoader(dataset, args.batch_size, seed=args.seed)
-    model = model_factory()
-    # theta0=None: the join handshake installs the live θ_t, exactly as a
-    # late joiner on any other host would receive it.
-    node = build_worker(
+    host, port = args.connect
+
+    def connect() -> SocketChannel:
+        channel = SocketChannel.connect(host, port, retry_for_s=args.retry_for)
+        print(f"worker {args.id} connected to {host}:{port}", file=sys.stderr)
+        return channel
+
+    # No theta0: the worker registers, and the join handshake installs the
+    # live θ_t, exactly as a late joiner on any other host would receive it.
+    node = run_worker(
+        connect,
         args.id,
         args.workers,
-        model,
-        loader,
+        model_factory,
+        dataset,
+        args.batch_size,
+        args.iterations,
         method,
         hyper,
         schedule,
-        theta0=None,
+        args.seed,
     )
-    host, port = args.connect
-    channel = SocketChannel.connect(host, port, retry_for_s=args.retry_for)
-    print(f"worker {args.id} connected to {host}:{port}", file=sys.stderr)
-    run_worker_loop(node, channel, args.iterations, register=True)
     print(
         f"worker {args.id} done: {node.iteration} iterations, "
         f"final loss {node.last_loss:.4f}"
@@ -150,12 +149,12 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     from ..core.methods import Hyper
     from ..data.synthetic import make_blobs
     from ..nn.models.mlp import MLP
-    from .socket import SocketTrainer
+    from .multiprocess import MultiprocessTrainer
 
     dataset = make_blobs(n_samples=400, num_classes=4, dim=12, sep=2.5, noise=0.8, seed=1)
 
     def run(iterations: int, **kwargs):
-        return SocketTrainer(
+        return MultiprocessTrainer(
             "asgd",
             lambda: MLP(12, (24,), 4, seed=7),
             dataset,
@@ -164,6 +163,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             iterations_per_worker=iterations,
             hyper=Hyper(lr=0.1, momentum=0.0),
             seed=args.seed,
+            transport="tcp",
             **kwargs,
         ).run()
 

@@ -28,6 +28,7 @@ from ..exec.common import (
     resolve_hyper,
     resolve_method,
     resolve_schedule,
+    server_result,
 )
 from ..exec.result import TrainResult
 from ..metrics.curves import Curve
@@ -204,32 +205,19 @@ class ThreadedTrainer:
         # Borrow worker 0's replica for evaluation: its BatchNorm running
         # statistics reflect actual training data.
         acc, loss = evaluate_global(self.workers[0].model, self.server, self.dataset)
-        stats = self.server.stats
         closes = [ch.close_frame for ch in channels if ch.close_frame is not None]
-        staleness = self.server.staleness_summary()
-        return TrainResult(
+        return server_result(
+            self.server,
             method=self.method.name,
             backend="threaded",
             num_workers=self.num_workers,
-            num_shards=self.server.num_shards,
             final_accuracy=acc,
             final_loss=loss,
             loss_vs_step=self.loss_curve,
-            total_iterations=self.server.timestamp,
             # Final accounting travels on the workers' close frames, the
             # same way it reaches the server on every other backend.
             samples_processed=sum(c.samples_processed or 0 for c in closes),
-            mean_staleness=staleness["mean"],
-            staleness_p50=staleness["p50"],
-            staleness_p99=staleness["p99"],
-            worker_staleness=staleness["per_worker"],
-            metrics=self.server.metrics.snapshot(),
-            upload_bytes=stats.upload_bytes,
-            download_bytes=stats.download_bytes,
-            upload_dense_bytes=stats.upload_dense_bytes,
-            download_dense_bytes=stats.download_dense_bytes,
             makespan_s=elapsed,
             clock="wall",
-            server_state_bytes=self.server.server_state_bytes(),
             worker_state_bytes=sum(c.worker_state_bytes or 0 for c in closes),
         )

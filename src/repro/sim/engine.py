@@ -35,6 +35,7 @@ from ..exec.common import (
     resolve_hyper,
     resolve_method,
     resolve_schedule,
+    server_result,
 )
 from ..exec.result import TrainResult
 from ..metrics.curves import Curve
@@ -103,7 +104,8 @@ class SimulatedTrainer:
         #: crashes (stops producing updates; its server-side v_k persists).
         self.fail_at = fail_at or {}
         self.record_trace = record_trace
-        #: optional repro.metrics.runlog.RunLogger for per-step telemetry
+        #: optional repro.obs.ObsLogger (anything with its ``log_step``)
+        #: for per-step telemetry
         self.logger = logger
         #: explicit repro.obs tracer; None ⇒ the ambient tracer at run time.
         #: Spans are stamped with the *virtual* clock (same schema as the
@@ -253,12 +255,11 @@ class SimulatedTrainer:
         if self.eval_every is not None and (not len(acc_vs_step) or acc_vs_step.xs[-1] < applied):
             acc_vs_step.add(applied, final_acc)
 
-        staleness_summary = self.server.staleness_summary()
-        return TrainResult(
+        return server_result(
+            self.server,
             method=self.method.name,
             backend="simulated",
             num_workers=cluster.num_workers,
-            num_shards=self.server.num_shards,
             final_accuracy=final_acc,
             final_loss=final_loss,
             loss_vs_step=loss_vs_step,
@@ -266,20 +267,9 @@ class SimulatedTrainer:
             acc_vs_step=acc_vs_step,
             makespan_s=makespan,
             clock="virtual",
-            total_iterations=applied,
             samples_processed=sum(n.samples_processed for n in self.workers),
-            mean_staleness=staleness_summary["mean"],
-            staleness_p50=staleness_summary["p50"],
-            staleness_p99=staleness_summary["p99"],
-            worker_staleness=staleness_summary["per_worker"],
-            metrics=self.server.metrics.snapshot(),
-            upload_bytes=self.server.stats.upload_bytes,
-            download_bytes=self.server.stats.download_bytes,
-            upload_dense_bytes=self.server.stats.upload_dense_bytes,
-            download_dense_bytes=self.server.stats.download_dense_bytes,
             uplink_utilisation=self.uplink.utilisation(makespan),
             downlink_utilisation=self.downlink.utilisation(makespan),
-            server_state_bytes=self.server.server_state_bytes(),
             worker_state_bytes=sum(n.worker_state_bytes() for n in self.workers),
             trace=trace,
         )

@@ -110,7 +110,7 @@ class TestInstrumentedTrainer:
         monitor = instrument_server(trainer.server)
         result = trainer.run()
         assert monitor.violations == [], monitor.report()
-        assert result.server_timestamp == 4 * 25  # training itself still works
+        assert result.total_iterations == 4 * 25  # training itself still works
         lock = trainer.server.shards[0]._lock
         assert isinstance(lock, CheckedLock) and lock.acquisitions > 0
 
@@ -120,7 +120,7 @@ class TestInstrumentedTrainer:
         result = trainer.run()
         assert trainer.server.num_shards == 2
         assert monitor.violations == [], monitor.report()
-        assert result.server_timestamp == 4 * 25
+        assert result.total_iterations == 4 * 25
         for shard in trainer.server.shards:
             assert isinstance(shard._lock, CheckedLock) and shard._lock.acquisitions > 0
 

@@ -97,6 +97,38 @@ class TestElasticServe:
         assert report.worker_state_bytes == 64
         assert membership.members == {0: "left"}
 
+    def test_wire_bytes_are_the_dropped_channels_counters(self):
+        """The report sums each channel's transport counters when the loop
+        drops it: crashed and cleanly closed channels alike."""
+        service, server, _ = _make_service(num_workers=2)
+        listener = SocketListener()
+        host, port = listener.address
+        sides = []
+
+        def worker(worker_id, crash):
+            ch = SocketChannel.connect(host, port)
+            sides.append(ch)
+            ch.send(ControlFrame(worker_id, CONTROL_JOIN))
+            ch.recv()
+            ch.send(_grad_for(server, worker_id))
+            ch.recv()
+            if not crash:
+                ch.send(CloseFrame(worker_id=worker_id, samples_processed=16))
+            ch.close()
+
+        try:
+            threads = [threading.Thread(target=worker, args=(w, w == 1)) for w in range(2)]
+            for t in threads:
+                t.start()
+            report = _serve(service, server, listener, 2)
+        finally:
+            listener.close()
+            for t in threads:
+                t.join(timeout=10)
+        assert report.crashes == 1 and report.clean_closes == 1
+        assert report.wire_bytes_up == sum(ch.wire_bytes_sent for ch in sides) > 0
+        assert report.wire_bytes_down == sum(ch.wire_bytes_received for ch in sides) > 0
+
     def test_join_bootstraps_vk_to_current_model(self):
         """Eq. 5's elastic extension: a joiner starts with v_k == M_t."""
         service, server, _ = _make_service(num_workers=1)

@@ -114,3 +114,86 @@ class TestStrategyCheckpoint:
         state = strat.state_dict()
         state["u/w"][...] = 999.0
         assert not np.allclose(strat.u["w"], 999.0)
+
+
+def _snapshot_of(obj):
+    """Bitwise copy of everything a loader may write."""
+    return {k: np.array(v, copy=True) for k, v in obj.state_dict().items()}
+
+
+def _assert_untouched(obj, before):
+    after = obj.state_dict()
+    assert after.keys() == before.keys()
+    for key in before:
+        assert after[key].dtype == before[key].dtype
+        assert after[key].tobytes() == before[key].tobytes(), key
+
+
+def _trained_tracker(rng, num_workers=2, dtype=np.float64):
+    tr = ModelDifferenceTracker(SHAPES, num_workers, dtype=dtype)
+    for i in range(3):
+        tr.apply_update(random_update(rng))
+        tr.model_difference(i % num_workers)
+    return tr
+
+
+def _trained_samomentum(rng, dtype=np.float64):
+    strat = SAMomentumStrategy(SHAPES, TopKSparsifier(0.2, min_sparse_size=0), 0.7, dtype=dtype)
+    for _ in range(2):
+        strat.prepare(OrderedDict((n, rng.normal(size=s)) for n, s in SHAPES.items()), 0.1)
+    return strat
+
+
+class TestRejectedLoadLeavesStateUntouched:
+    """A snapshot that fails validation must not change one bit of state:
+    keys, shapes, dtypes and the worker count are all checked first."""
+
+    def test_float64_snapshot_not_rounded_into_float32_strategy(self, rng):
+        src = _trained_samomentum(rng, dtype=np.float64)
+        src.u["w"][0] = 1.0 + 1e-9  # not representable in float32
+        dst = _trained_samomentum(np.random.default_rng(9), dtype=np.float32)
+        before = _snapshot_of(dst)
+        with pytest.raises(ValueError, match="float64"):
+            dst.load_state_dict(src.state_dict())
+        _assert_untouched(dst, before)
+
+    @pytest.mark.parametrize("corrupt", ["missing", "extra", "shape"])
+    def test_bad_strategy_snapshot(self, corrupt, rng):
+        state = _trained_samomentum(rng).state_dict()
+        last = list(state)[-1]  # written last: earlier keys would be torn
+        if corrupt == "missing":
+            del state[last]
+        elif corrupt == "extra":
+            state["u/nope"] = np.zeros(3)
+        else:
+            state[last] = np.zeros(state[last].size + 1)
+        dst = _trained_samomentum(np.random.default_rng(9))
+        before = _snapshot_of(dst)
+        with pytest.raises((KeyError, ValueError)):
+            dst.load_state_dict(state)
+        _assert_untouched(dst, before)
+
+    def test_wrong_worker_count_leaves_t_and_prev(self, rng):
+        state = _trained_tracker(rng, num_workers=2).state_dict()
+        state["t"] = np.array(7)
+        dst = _trained_tracker(np.random.default_rng(9), num_workers=3)
+        before = _snapshot_of(dst)
+        with pytest.raises(ValueError, match="workers"):
+            dst.load_state_dict(state)
+        _assert_untouched(dst, before)
+
+    @pytest.mark.parametrize("corrupt", ["shape", "dtype", "missing"])
+    def test_bad_tracker_layer_leaves_everything(self, corrupt, rng):
+        state = _trained_tracker(rng).state_dict()
+        state["t"], state["prev"] = np.array(9), np.array([3, 4])
+        if corrupt == "shape":
+            state["v1/b"] = np.zeros(7)
+        elif corrupt == "dtype":
+            state["v1/b"] = state["v1/b"].astype(np.float32)
+        else:
+            del state["v1/b"]
+        dst = _trained_tracker(np.random.default_rng(9))
+        before = _snapshot_of(dst)
+        with pytest.raises((KeyError, ValueError)):
+            dst.load_state_dict(state)
+        _assert_untouched(dst, before)

@@ -72,15 +72,6 @@ class TestNoneVersusNaN:
         assert r.compression_ratio == 10000 / 2000
 
 
-class TestLegacyAliases:
-    def test_server_timestamp_aliases_total_iterations(self):
-        assert _valid(total_iterations=42).server_timestamp == 42
-
-    def test_loss_curve_aliases_loss_vs_step(self):
-        r = _valid()
-        assert r.loss_curve is r.loss_vs_step
-
-
 class TestValidateResult:
     def test_valid_result_is_clean(self):
         assert validate_result(_valid()) == []

@@ -4,7 +4,7 @@ Dense ASGD in float64 is the substrate-independence probe the repo uses
 everywhere (no sparsification ties, no dtype rounding): any loss-curve
 divergence between transports is a transport bug, not noise.
 
-* 1 worker, free-running: no scheduling freedom, so SocketTrainer and
+* 1 worker, free-running: no scheduling freedom, so the TCP trainer and
   ThreadedTrainer (with ``wire_fidelity=True, register=True`` — the same
   codec round-trips and the same join handshake) must agree bitwise.
 * 2 workers: free-running interleavings are nondeterministic, so the
@@ -36,14 +36,14 @@ from repro.core.layerops import parameters_of
 from repro.core.methods import Hyper, get_method
 from repro.data.loader import DataLoader
 from repro.exec.common import build_server, build_worker
-from repro.ps.socket import SocketTrainer
+from repro.ps.multiprocess import MultiprocessTrainer
 from repro.ps.threaded import ThreadedTrainer
 
 DENSE = Hyper(lr=0.1, momentum=0.0)
 
 
 def _socket_run(tiny_dataset, tiny_model_factory, iterations, **kwargs):
-    return SocketTrainer(
+    return MultiprocessTrainer(
         "asgd",
         tiny_model_factory,
         tiny_dataset,
@@ -52,6 +52,7 @@ def _socket_run(tiny_dataset, tiny_model_factory, iterations, **kwargs):
         iterations_per_worker=iterations,
         hyper=DENSE,
         seed=0,
+        transport="tcp",
         **kwargs,
     ).run()
 

@@ -13,6 +13,7 @@ from repro.obs import (
     MetricsRegistry,
     ObsLogger,
     Tracer,
+    load_jsonl,
     to_prometheus,
     validate_records,
 )
@@ -150,11 +151,10 @@ class TestObsLogger:
         }
 
     def test_accepts_trainer_logger_duck_type(self):
-        """Trainers call logger.log_step; ObsLogger must be a drop-in."""
-        from repro.metrics.runlog import RunLogger
-
-        assert set(ObsLogger.log_step.__code__.co_varnames[:6]) == set(
-            RunLogger.log_step.__code__.co_varnames[:6]
+        """Trainers call logger.log_step(step, loss, time_s=, worker=,
+        staleness=, **extra); ObsLogger must take exactly that call."""
+        assert ObsLogger.log_step.__code__.co_varnames[:6] == (
+            "self", "step", "loss", "time_s", "worker", "staleness"
         )
 
     def test_flushes_on_every_write(self, tmp_path):
@@ -190,3 +190,53 @@ class TestObsLogger:
         log = ObsLogger()
         log.log_step(1, 2.0)
         assert log.steps()[0]["loss"] == 2.0
+
+    def test_curve_extraction(self):
+        log = ObsLogger(meta={"method": "dgs"})
+        for i, loss in enumerate([3.0, 2.0, 1.0], start=1):
+            log.log_step(i, loss, time_s=0.5 * i)
+        c = ObsLogger.curve(log.records, "loss", "step")
+        assert c.name == "loss_vs_step"
+        assert c.ys == [3.0, 2.0, 1.0]
+        assert ObsLogger.curve(log.records, "loss", "time_s").xs == [0.5, 1.0, 1.5]
+
+    def test_curve_skips_non_step_records_and_missing_fields(self):
+        tracer = Tracer()
+        with tracer.span("a", cat="worker"):
+            pass
+        log = ObsLogger()
+        log.log_step(1, 0.5, staleness=2)
+        log.log_spans(tracer.records())
+        log.log_step(2, 0.4)
+        assert ObsLogger.curve(log.records).ys == [0.5, 0.4]
+        assert ObsLogger.curve(log.records, "staleness").xs == [1.0]
+
+    def test_curve_over_reloaded_jsonl(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with ObsLogger(path, meta={"seed": 1}) as log:
+            log.log_step(1, 0.9)
+            log.log_step(2, 0.8)
+        records = load_jsonl(path)
+        assert [r["type"] for r in records] == ["meta", "step", "step"]
+        assert ObsLogger.curve(records).ys == [0.9, 0.8]
+        assert ObsLogger.curve(records).ys == ObsLogger.curve(log.records).ys
+
+
+class TestTrainerIntegration:
+    def test_simulated_trainer_logs(self, tiny_dataset, tiny_model_factory, tmp_path):
+        from repro.core import Hyper
+        from repro.sim import ClusterConfig, SimulatedTrainer
+
+        path = tmp_path / "train.jsonl"
+        with ObsLogger(path, meta={"method": "dgs"}) as logger:
+            SimulatedTrainer(
+                "dgs", tiny_model_factory, tiny_dataset,
+                ClusterConfig.with_bandwidth(2, 10, compute_mean_s=0.02),
+                batch_size=16, total_iterations=30,
+                hyper=Hyper(ratio=0.1, min_sparse_size=0), logger=logger, seed=0,
+            ).run()
+        steps = [r for r in load_jsonl(path) if r["type"] == "step"]
+        assert len(steps) == 30
+        assert {"step", "loss", "time_s", "worker", "staleness", "up_bytes"} <= set(steps[0])
+        times = [s["time_s"] for s in steps]
+        assert times == sorted(times)
